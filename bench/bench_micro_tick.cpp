@@ -4,10 +4,8 @@
  * three runtime implementations -- the SSV state machine (with its
  * deviation clamps, grids, and finiteness contracts), the LQG
  * baseline, and the Q16.16 fixed-point SSV of Sec. VI-D -- at the
- * paper's dimensions (N=20, I=4, O=4, E=3) and a size sweep, plus the
- * batched tick engine advancing a shard's worth of identical-shape
- * controllers through one blocked matrix-matrix pass. Reported as
- * ticks/second/core: how many 500 ms control periods one core can
+ * paper's dimensions (N=20, I=4, O=4, E=3) and a size sweep. Reported
+ * as ticks/second/core: how many 500 ms control periods one core can
  * evaluate per wall second, i.e. how many boards one core could
  * control (or the fleet simulator could step) at the controller layer
  * alone.
@@ -16,11 +14,9 @@
  * minimum wall time is reported, so a scheduler hiccup in one
  * repetition cannot inflate the published number.
  *
- * Correctness-gated twice, so CI can run this as a smoke stage
- * without gating on timing: the fixed-point state machine must agree
- * with the double-precision oracle within the Q16.16 quantization
- * budget, and the batched tick must be bit-identical to per-instance
- * stepping.
+ * Correctness-gated, so CI can run this as a smoke stage without
+ * gating on timing: the fixed-point state machine must agree with the
+ * double-precision oracle within the Q16.16 quantization budget.
  *
  * Usage: bench_micro_tick [--quick] [--out PATH]
  */
@@ -31,12 +27,10 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "control/state_space.h"
-#include "controllers/batch_runtime.h"
 #include "controllers/fixed_point.h"
 #include "controllers/lqg_runtime.h"
 #include "controllers/ssv_runtime.h"
@@ -48,7 +42,6 @@
 namespace {
 
 using yukta::control::StateSpace;
-using yukta::controllers::BatchRuntime;
 using yukta::controllers::FixedPointSsv;
 using yukta::controllers::InputGrid;
 using yukta::controllers::LqgRuntime;
@@ -154,21 +147,13 @@ struct CaseResult
     double ssv_ns = 0.0;
     double lqg_ns = 0.0;
     double fixed_ns = 0.0;
-    double ssv_batch_ns = 0.0;
-    double fixed_batch_ns = 0.0;
     double ssv_ticks_per_sec = 0.0;
     double lqg_ticks_per_sec = 0.0;
     double fixed_ticks_per_sec = 0.0;
-    double ssv_batch_ticks_per_sec = 0.0;
-    double fixed_batch_ticks_per_sec = 0.0;
     std::size_t fixed_macs = 0;
     std::size_t fixed_storage_bytes = 0;
     double fixed_max_err = 0.0;
-    bool batch_identical = false;
 };
-
-/** Boards per batched tick: a plausible per-worker fleet shard. */
-constexpr std::size_t kBatchWidth = 32;
 
 /** Timing repetitions feeding the best-of reduction. */
 constexpr int kRepeats = 5;
@@ -256,53 +241,11 @@ runCase(const CaseDims& dims, int reps)
         }
     });
 
-    // The batched tick engine over a shard of identical-shape
-    // runtimes: reps / width rounds of width member-ticks keeps the
-    // member-tick count comparable with the scalar loops.
-    std::vector<std::unique_ptr<SsvRuntime>> shard;
-    std::vector<std::unique_ptr<FixedPointSsv>> fshard;
-    for (std::size_t b = 0; b < kBatchWidth; ++b) {
-        shard.push_back(std::make_unique<SsvRuntime>(
-            cert, makeGrids(dims.i), Vector::zeros(dims.i),
-            Vector::zeros(dims.e)));
-        fshard.push_back(std::make_unique<FixedPointSsv>(cert.k));
-    }
-    BatchRuntime batch;
-    const int rounds =
-        std::max(1, reps / static_cast<int>(kBatchWidth));
-    const double ssv_batch_s = bestOf(kRepeats, [&] {
-        for (int r = 0; r < rounds; ++r) {
-            for (std::size_t b = 0; b < kBatchWidth; ++b) {
-                const auto idx = static_cast<std::size_t>(
-                    (r + static_cast<int>(b)) % excitation);
-                shard[b]->beginInvoke(devs[idx], exts[idx]);
-                batch.enqueue(*shard[b]);
-            }
-            batch.tick();
-            for (std::size_t b = 0; b < kBatchWidth; ++b) {
-                sink += shard[b]->finishInvoke()[0];
-            }
-        }
-    });
-    const double fixed_batch_s = bestOf(kRepeats, [&] {
-        for (int r = 0; r < rounds; ++r) {
-            for (std::size_t b = 0; b < kBatchWidth; ++b) {
-                fshard[b]->beginStep(fixed_dys[static_cast<std::size_t>(
-                    (r + static_cast<int>(b)) % excitation)]);
-                batch.enqueue(*fshard[b]);
-            }
-            batch.tick();
-            for (std::size_t b = 0; b < kBatchWidth; ++b) {
-                sink += FixedPointSsv::fromFixed(
-                    fshard[b]->finishStep()[0]);
-            }
-        }
-    });
     if (!std::isfinite(sink)) {
         std::cerr << "tick loops produced non-finite sink\n";
     }
 
-    // Correctness gate 1: the fixed-point machine against the
+    // Correctness gate: the fixed-point machine against the
     // double-precision state machine on the same K, same inputs.
     fixed.reset();
     Vector x_ref = Vector::zeros(dims.n);
@@ -317,70 +260,14 @@ runCase(const CaseDims& dims, int reps)
         }
     }
 
-    // Correctness gate 2 (the batch oracle): fresh batched runtimes
-    // must match fresh scalar twins bit for bit over a divergent
-    // multi-step trajectory.
-    out.batch_identical = true;
-    {
-        const std::size_t width = 8;
-        std::vector<std::unique_ptr<SsvRuntime>> bat;
-        std::vector<std::unique_ptr<SsvRuntime>> ref;
-        std::vector<std::unique_ptr<FixedPointSsv>> fbat;
-        std::vector<std::unique_ptr<FixedPointSsv>> fref;
-        for (std::size_t b = 0; b < width; ++b) {
-            bat.push_back(std::make_unique<SsvRuntime>(
-                cert, makeGrids(dims.i), Vector::zeros(dims.i),
-                Vector::zeros(dims.e)));
-            ref.push_back(std::make_unique<SsvRuntime>(
-                cert, makeGrids(dims.i), Vector::zeros(dims.i),
-                Vector::zeros(dims.e)));
-            fbat.push_back(std::make_unique<FixedPointSsv>(cert.k));
-            fref.push_back(std::make_unique<FixedPointSsv>(cert.k));
-        }
-        BatchRuntime oracle;
-        for (int t = 0; t < 16 && out.batch_identical; ++t) {
-            for (std::size_t b = 0; b < width; ++b) {
-                const auto idx = static_cast<std::size_t>(
-                    (t + static_cast<int>(3 * b)) % excitation);
-                bat[b]->beginInvoke(devs[idx], exts[idx]);
-                oracle.enqueue(*bat[b]);
-                fbat[b]->beginStep(fixed_dys[idx]);
-                oracle.enqueue(*fbat[b]);
-            }
-            oracle.tick();
-            for (std::size_t b = 0; b < width; ++b) {
-                const auto idx = static_cast<std::size_t>(
-                    (t + static_cast<int>(3 * b)) % excitation);
-                const Vector got = bat[b]->finishInvoke();
-                const Vector want = ref[b]->invoke(devs[idx], exts[idx]);
-                if (got.size() != want.size() ||
-                    std::memcmp(got.raw().data(), want.raw().data(),
-                                got.size() * sizeof(double)) != 0) {
-                    out.batch_identical = false;
-                }
-                if (fbat[b]->finishStep() != fref[b]->step(fixed_dys[idx])) {
-                    out.batch_identical = false;
-                }
-            }
-        }
-    }
-
     const double r = static_cast<double>(reps);
-    const double rb = static_cast<double>(rounds) *
-                      static_cast<double>(kBatchWidth);
     out.ssv_ns = ssv_s / r * 1e9;
     out.lqg_ns = lqg_s / r * 1e9;
     out.fixed_ns = fixed_s / r * 1e9;
-    out.ssv_batch_ns = ssv_batch_s / rb * 1e9;
-    out.fixed_batch_ns = fixed_batch_s / rb * 1e9;
     out.ssv_ticks_per_sec = out.ssv_ns > 0.0 ? 1e9 / out.ssv_ns : 0.0;
     out.lqg_ticks_per_sec = out.lqg_ns > 0.0 ? 1e9 / out.lqg_ns : 0.0;
     out.fixed_ticks_per_sec =
         out.fixed_ns > 0.0 ? 1e9 / out.fixed_ns : 0.0;
-    out.ssv_batch_ticks_per_sec =
-        out.ssv_batch_ns > 0.0 ? 1e9 / out.ssv_batch_ns : 0.0;
-    out.fixed_batch_ticks_per_sec =
-        out.fixed_batch_ns > 0.0 ? 1e9 / out.fixed_batch_ns : 0.0;
     return out;
 }
 
@@ -417,23 +304,15 @@ main(int argc, char** argv)
         CaseResult r = runCase(dims, reps);
         std::printf(
             "%-6s N=%2zu I=%zu O=%zu E=%zu: ssv %8.1f ns  lqg %8.1f ns"
-            "  fixed %8.1f ns  batch %7.1f/%7.1f ns"
-            "  (%.2e ssv ticks/s/core)  fx_err %.2e\n",
+            "  fixed %8.1f ns  (%.2e ssv ticks/s/core)  fx_err %.2e\n",
             r.dims.label, r.dims.n, r.dims.i, r.dims.o, r.dims.e,
-            r.ssv_ns, r.lqg_ns, r.fixed_ns, r.ssv_batch_ns,
-            r.fixed_batch_ns, r.ssv_batch_ticks_per_sec,
+            r.ssv_ns, r.lqg_ns, r.fixed_ns, r.ssv_ticks_per_sec,
             r.fixed_max_err);
         // Q16.16 grid is 2^-16 per coefficient; error compounds over
         // the MAC count and the 64-step trajectory.
         if (r.fixed_max_err > 0.05) {
             std::cerr << "FAIL: fixed-point diverges from the double "
                          "oracle for case " << r.dims.label << "\n";
-            ok = false;
-        }
-        if (!r.batch_identical) {
-            std::cerr << "FAIL: batched tick diverges bitwise from "
-                         "per-instance stepping for case "
-                      << r.dims.label << "\n";
             ok = false;
         }
         if (r.fixed_macs == 0 || r.fixed_storage_bytes == 0) {
@@ -448,7 +327,7 @@ main(int argc, char** argv)
     json << "{\n  \"bench\": \"micro_tick\",\n"
          << "  \"reps\": " << reps << ",\n  \"repeats\": " << kRepeats
          << ",\n  \"timing\": \"best-of-repeats\",\n"
-         << "  \"batch_width\": " << kBatchWidth << ",\n  \"cases\": [\n";
+         << "  \"cases\": [\n";
     for (std::size_t i = 0; i < cases.size(); ++i) {
         const CaseResult& r = cases[i];
         char buf[768];
@@ -457,19 +336,12 @@ main(int argc, char** argv)
             "    {\"case\": \"%s\", \"states\": %zu, \"inputs\": %zu, "
             "\"outputs\": %zu, \"external\": %zu, \"ssv_ns\": %.1f, "
             "\"lqg_ns\": %.1f, \"fixed_ns\": %.1f, "
-            "\"ssv_batch_ns\": %.1f, \"fixed_batch_ns\": %.1f, "
             "\"ssv_ticks_per_sec\": %.0f, \"lqg_ticks_per_sec\": %.0f, "
-            "\"fixed_ticks_per_sec\": %.0f, "
-            "\"ssv_batch_ticks_per_sec\": %.0f, "
-            "\"fixed_batch_ticks_per_sec\": %.0f, "
-            "\"batch_identical\": %s, \"fixed_macs\": %zu, "
+            "\"fixed_ticks_per_sec\": %.0f, \"fixed_macs\": %zu, "
             "\"fixed_storage_bytes\": %zu, \"fixed_max_err\": %.3e}%s\n",
             r.dims.label, r.dims.n, r.dims.i, r.dims.o, r.dims.e,
-            r.ssv_ns, r.lqg_ns, r.fixed_ns, r.ssv_batch_ns,
-            r.fixed_batch_ns, r.ssv_ticks_per_sec, r.lqg_ticks_per_sec,
-            r.fixed_ticks_per_sec, r.ssv_batch_ticks_per_sec,
-            r.fixed_batch_ticks_per_sec,
-            r.batch_identical ? "true" : "false", r.fixed_macs,
+            r.ssv_ns, r.lqg_ns, r.fixed_ns, r.ssv_ticks_per_sec,
+            r.lqg_ticks_per_sec, r.fixed_ticks_per_sec, r.fixed_macs,
             r.fixed_storage_bytes, r.fixed_max_err,
             i + 1 < cases.size() ? "," : "");
         json << buf;

@@ -43,10 +43,9 @@ echo "=== micro-bench smoke: batched vs pointwise freq response ==="
 # the timings land in the JSON for trend inspection, never gate CI.
 ./build/bench/bench_micro_freq --quick --out build/BENCH_micro_freq.json
 
-echo "=== micro-bench smoke: per-tick controller cost + batch oracle ==="
-# Correctness-gated twice: the fixed-point path must track the double
-# oracle, and the batched tick engine must match per-instance stepping
-# bit for bit.
+echo "=== micro-bench smoke: per-tick controller cost ==="
+# Correctness-gated: the fixed-point path must track the double
+# oracle; the timings land in the JSON and never gate CI.
 ./build/bench/bench_micro_tick --quick --out build/BENCH_micro_tick.json
 
 echo "=== fleet smoke: admission gates + 1-vs-N determinism ==="
@@ -137,11 +136,10 @@ if echo 'int main() { return 0; }' \
         ctest --test-dir build-tsan -R '^test_runner$' --output-on-failure
     # The fleet's shared-nothing shard phase is the other place real
     # threads touch shared state; the 1-vs-N digest test drives it
-    # with 1, 2, and 4 workers, and the batch-vs-scalar test covers
-    # the per-shard BatchRuntime instances under the same counts.
+    # with 1, 2, and 4 workers.
     TSAN_OPTIONS="halt_on_error=1" \
         ./build-tsan/tests/test_fleet \
-        --gtest_filter='Fleet.RunIsBitIdenticalForAnyWorkerCount:FleetBatch.BatchMatchesScalarDigestForAllWorkerCounts'
+        --gtest_filter='Fleet.RunIsBitIdenticalForAnyWorkerCount'
 else
     rm -f "$TSAN_PROBE"
     echo "=== ThreadSanitizer unavailable on this toolchain; skipping ==="

@@ -15,8 +15,6 @@
  * controller's inputs.
  */
 
-#include <stdexcept>
-
 #include "linalg/vector.h"
 #include "obs/stateio.h"
 #include "platform/board.h"
@@ -27,8 +25,6 @@ class TraceSink;
 }  // namespace yukta::obs
 
 namespace yukta::controllers {
-
-class BatchRuntime;
 
 /** Control period in seconds (Sec. V-A). */
 inline constexpr double kControlPeriod = 0.5;
@@ -78,30 +74,6 @@ class HwController
     /** One 500 ms invocation: observe @p s, return actuation. */
     virtual platform::HardwareInputs invoke(const HwSignals& s) = 0;
 
-    /**
-     * Batched-tick split: observe @p s and stage the linear pass into
-     * @p batch, deferring the rest of the invocation to
-     * finishInvoke(). begin + batch.tick() + finish is bit-identical
-     * to invoke(). @return false when this controller has no linear
-     * core to batch (heuristics); the caller then uses invoke().
-     */
-    virtual bool beginInvoke(const HwSignals& s, BatchRuntime& batch)
-    {
-        (void)s;
-        (void)batch;
-        return false;
-    }
-
-    /**
-     * Completes an invocation staged by beginInvoke().
-     * @throws std::logic_error when unsupported or nothing is staged.
-     */
-    virtual platform::HardwareInputs finishInvoke()
-    {
-        throw std::logic_error(
-            "HwController::finishInvoke: batching unsupported");
-    }
-
     /** Resets internal state between runs. */
     virtual void reset() {}
 
@@ -144,28 +116,6 @@ class OsController
 
     /** One 500 ms invocation: observe @p s, return placement policy. */
     virtual platform::PlacementPolicy invoke(const OsSignals& s) = 0;
-
-    /**
-     * Batched-tick split: observe @p s and stage the linear pass into
-     * @p batch (see HwController::beginInvoke). @return false when
-     * this controller has no linear core to batch.
-     */
-    virtual bool beginInvoke(const OsSignals& s, BatchRuntime& batch)
-    {
-        (void)s;
-        (void)batch;
-        return false;
-    }
-
-    /**
-     * Completes an invocation staged by beginInvoke().
-     * @throws std::logic_error when unsupported or nothing is staged.
-     */
-    virtual platform::PlacementPolicy finishInvoke()
-    {
-        throw std::logic_error(
-            "OsController::finishInvoke: batching unsupported");
-    }
 
     /** Resets internal state between runs. */
     virtual void reset() {}

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "controllers/batch_runtime.h"
 #include "core/contracts.h"
 
 namespace yukta::controllers {
@@ -31,7 +30,6 @@ FixedPointSsv::FixedPointSsv(const control::StateSpace& k)
       c_(quantizeMatrix(k.c)), d_(quantizeMatrix(k.d)),
       x_(n_, 0)
 {
-    batch_key_ = batch_detail::fixedPointKey(n_, m_, p_, a_, b_, c_, d_);
 }
 
 std::int32_t
@@ -53,33 +51,9 @@ FixedPointSsv::fromFixed(std::int32_t v)
 std::vector<std::int32_t>
 FixedPointSsv::step(const std::vector<std::int32_t>& dy)
 {
-    beginStep(dy);
-    return finishStep();
-}
-
-void
-FixedPointSsv::beginStep(const std::vector<std::int32_t>& dy)
-{
     if (dy.size() != m_) {
         throw std::invalid_argument("FixedPointSsv::step: size mismatch");
     }
-    pending_dy_ = dy;
-    has_pending_ = true;
-    linear_done_ = false;
-}
-
-std::vector<std::int32_t>
-FixedPointSsv::finishStep()
-{
-    if (!has_pending_) {
-        throw std::logic_error("FixedPointSsv::finishStep: no staged step");
-    }
-    has_pending_ = false;
-    if (linear_done_) {
-        return pending_u_;
-    }
-    linear_done_ = true;
-    const std::vector<std::int32_t>& dy = pending_dy_;
     // u = C x + D dy (64-bit accumulators, one shift per output).
     std::vector<std::int32_t> u(p_);
     for (std::size_t i = 0; i < p_; ++i) {

@@ -17,8 +17,6 @@
 
 namespace yukta::controllers {
 
-class BatchRuntime;
-
 /** Q16.16 fixed-point SSV state machine. */
 class FixedPointSsv
 {
@@ -46,28 +44,6 @@ class FixedPointSsv
      */
     std::vector<std::int32_t> step(const std::vector<std::int32_t>& dy);
 
-    /**
-     * First half of step(): validates and stages @p dy without
-     * advancing the state. Pair with finishStep(); a BatchRuntime may
-     * run the integer passes for many staged machines in one batched
-     * sweep in between.
-     */
-    void beginStep(const std::vector<std::int32_t>& dy);
-
-    /**
-     * Second half of step(): advances over the staged dy (unless a
-     * BatchRuntime already did) and returns u. Identical to the
-     * monolithic step() either way (integer arithmetic is exact).
-     * @throws std::logic_error without a prior beginStep().
-     */
-    std::vector<std::int32_t> finishStep();
-
-    /**
-     * Fingerprint of the quantized matrices: machines with equal keys
-     * may tick through one batched pass.
-     */
-    std::uint64_t batchKey() const { return batch_key_; }
-
     /** Convenience double-in / double-out wrapper. */
     linalg::Vector stepDouble(const linalg::Vector& dy);
 
@@ -87,20 +63,11 @@ class FixedPointSsv
     std::size_t storageBytes() const;
 
   private:
-    friend class BatchRuntime;
-
     std::size_t n_;  ///< States.
     std::size_t m_;  ///< dy width (O + E).
     std::size_t p_;  ///< u width (I).
     std::vector<std::int32_t> a_, b_, c_, d_;  ///< Row-major Q16.16.
     std::vector<std::int32_t> x_;
-    std::uint64_t batch_key_ = 0;
-
-    // Staged step (beginStep -> [batch] -> finishStep).
-    std::vector<std::int32_t> pending_dy_;
-    std::vector<std::int32_t> pending_u_;
-    bool has_pending_ = false;
-    bool linear_done_ = false;
 };
 
 }  // namespace yukta::controllers

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "controllers/batch_runtime.h"
 #include "obs/trace.h"
 
 namespace yukta::controllers {
@@ -104,41 +103,24 @@ SsvHwController::attachTrace(obs::TraceSink* sink)
     optimizer_.attachTrace(sink, "opt-hw");
 }
 
-void
-SsvHwController::stage(const HwSignals& s)
+HardwareInputs
+SsvHwController::invoke(const HwSignals& s)
 {
     Vector y{s.perf_bips, s.p_big, s.p_little, s.temp};
     Vector targets =
         hold_ ? held_targets_
               : optimizer_.update(
                     exdMetric(s.p_big + s.p_little, s.perf_bips), y);
-    Vector dev = targets - y;
     Vector ext{s.threads_big, s.tpc_big, s.tpc_little};
-    runtime_.beginInvoke(dev, ext);
-    pending_y_ = std::move(y);
-    pending_targets_ = std::move(targets);
-    pending_ext_ = std::move(ext);
-}
-
-bool
-SsvHwController::beginInvoke(const HwSignals& s, BatchRuntime& batch)
-{
-    stage(s);
-    batch.enqueue(runtime_);
-    return true;
-}
-
-HardwareInputs
-SsvHwController::finishInvoke()
-{
     SsvInvokeInfo info;
-    Vector u = runtime_.finishInvoke(trace_ != nullptr ? &info : nullptr);
+    Vector u = runtime_.invoke(targets - y, ext,
+                               trace_ != nullptr ? &info : nullptr);
     if (trace_ != nullptr) {
         obs::TraceEvent ev = trace_->makeEvent("hw", "ssv");
-        ev.vec("y", pending_y_.raw())
-            .vec("targets", pending_targets_.raw())
+        ev.vec("y", y.raw())
+            .vec("targets", targets.raw())
             .vec("dy", info.dy.raw())
-            .vec("ext", pending_ext_.raw())
+            .vec("ext", ext.raw())
             .vec("x", info.x.raw())
             .vec("u_raw", info.u_raw.raw())
             .vec("u", u.raw())
@@ -153,13 +135,6 @@ SsvHwController::finishInvoke()
     out.freq_big = u[2];
     out.freq_little = u[3];
     return out;
-}
-
-HardwareInputs
-SsvHwController::invoke(const HwSignals& s)
-{
-    stage(s);
-    return finishInvoke();
 }
 
 void
@@ -206,8 +181,8 @@ SsvOsController::attachTrace(obs::TraceSink* sink)
     optimizer_.attachTrace(sink, "opt-os");
 }
 
-void
-SsvOsController::stage(const OsSignals& s)
+PlacementPolicy
+SsvOsController::invoke(const OsSignals& s)
 {
     Vector y{s.perf_big, s.perf_little, s.d_spare};
     Vector targets =
@@ -215,34 +190,16 @@ SsvOsController::stage(const OsSignals& s)
               : optimizer_.update(
                     exdMetric(s.total_power, s.perf_big + s.perf_little),
                     y);
-    Vector dev = targets - y;
     Vector ext{s.big_cores, s.little_cores, s.freq_big, s.freq_little};
-    runtime_.beginInvoke(dev, ext);
-    pending_y_ = std::move(y);
-    pending_targets_ = std::move(targets);
-    pending_ext_ = std::move(ext);
-    pending_threads_ = s.num_threads;
-}
-
-bool
-SsvOsController::beginInvoke(const OsSignals& s, BatchRuntime& batch)
-{
-    stage(s);
-    batch.enqueue(runtime_);
-    return true;
-}
-
-PlacementPolicy
-SsvOsController::finishInvoke()
-{
     SsvInvokeInfo info;
-    Vector u = runtime_.finishInvoke(trace_ != nullptr ? &info : nullptr);
+    Vector u = runtime_.invoke(targets - y, ext,
+                               trace_ != nullptr ? &info : nullptr);
     if (trace_ != nullptr) {
         obs::TraceEvent ev = trace_->makeEvent("os", "ssv");
-        ev.vec("y", pending_y_.raw())
-            .vec("targets", pending_targets_.raw())
+        ev.vec("y", y.raw())
+            .vec("targets", targets.raw())
             .vec("dy", info.dy.raw())
-            .vec("ext", pending_ext_.raw())
+            .vec("ext", ext.raw())
             .vec("x", info.x.raw())
             .vec("u_raw", info.u_raw.raw())
             .vec("u", u.raw())
@@ -254,17 +211,10 @@ SsvOsController::finishInvoke()
     PlacementPolicy out;
     // Threads assigned to big cannot exceed the runnable threads.
     out.threads_big =
-        std::clamp(u[0], 0.0, static_cast<double>(pending_threads_));
+        std::clamp(u[0], 0.0, static_cast<double>(s.num_threads));
     out.tpc_big = std::max(1.0, u[1]);
     out.tpc_little = std::max(1.0, u[2]);
     return out;
-}
-
-PlacementPolicy
-SsvOsController::invoke(const OsSignals& s)
-{
-    stage(s);
-    return finishInvoke();
 }
 
 void
@@ -298,36 +248,21 @@ LqgHwController::holdTargets(const Vector& targets)
     return true;
 }
 
-void
-LqgHwController::stage(const HwSignals& s)
+HardwareInputs
+LqgHwController::invoke(const HwSignals& s)
 {
     Vector y{s.perf_bips, s.p_big, s.p_little, s.temp};
     Vector targets =
         hold_ ? held_targets_
               : optimizer_.update(
                     exdMetric(s.p_big + s.p_little, s.perf_bips), y);
-    runtime_.beginInvoke(targets - y);
-    pending_y_ = std::move(y);
-    pending_targets_ = std::move(targets);
-}
-
-bool
-LqgHwController::beginInvoke(const HwSignals& s, BatchRuntime& batch)
-{
-    stage(s);
-    batch.enqueue(runtime_);
-    return true;
-}
-
-HardwareInputs
-LqgHwController::finishInvoke()
-{
     LqgInvokeInfo info;
-    Vector u = runtime_.finishInvoke(trace_ != nullptr ? &info : nullptr);
+    Vector u = runtime_.invoke(targets - y,
+                               trace_ != nullptr ? &info : nullptr);
     if (trace_ != nullptr) {
         obs::TraceEvent ev = trace_->makeEvent("hw", "lqg");
-        ev.vec("y", pending_y_.raw())
-            .vec("targets", pending_targets_.raw())
+        ev.vec("y", y.raw())
+            .vec("targets", targets.raw())
             .vec("x", info.x.raw())
             .vec("u_raw", info.u_raw.raw())
             .vec("u", u.raw())
@@ -341,13 +276,6 @@ LqgHwController::finishInvoke()
     out.freq_big = u[2];
     out.freq_little = u[3];
     return out;
-}
-
-HardwareInputs
-LqgHwController::invoke(const HwSignals& s)
-{
-    stage(s);
-    return finishInvoke();
 }
 
 void
@@ -369,35 +297,19 @@ LqgOsController::attachTrace(obs::TraceSink* sink)
     optimizer_.attachTrace(sink, "opt-os");
 }
 
-void
-LqgOsController::stage(const OsSignals& s)
+PlacementPolicy
+LqgOsController::invoke(const OsSignals& s)
 {
     Vector y{s.perf_big, s.perf_little, s.d_spare};
     Vector targets = optimizer_.update(
         exdMetric(s.total_power, s.perf_big + s.perf_little), y);
-    runtime_.beginInvoke(targets - y);
-    pending_y_ = std::move(y);
-    pending_targets_ = std::move(targets);
-    pending_threads_ = s.num_threads;
-}
-
-bool
-LqgOsController::beginInvoke(const OsSignals& s, BatchRuntime& batch)
-{
-    stage(s);
-    batch.enqueue(runtime_);
-    return true;
-}
-
-PlacementPolicy
-LqgOsController::finishInvoke()
-{
     LqgInvokeInfo info;
-    Vector u = runtime_.finishInvoke(trace_ != nullptr ? &info : nullptr);
+    Vector u = runtime_.invoke(targets - y,
+                               trace_ != nullptr ? &info : nullptr);
     if (trace_ != nullptr) {
         obs::TraceEvent ev = trace_->makeEvent("os", "lqg");
-        ev.vec("y", pending_y_.raw())
-            .vec("targets", pending_targets_.raw())
+        ev.vec("y", y.raw())
+            .vec("targets", targets.raw())
             .vec("x", info.x.raw())
             .vec("u_raw", info.u_raw.raw())
             .vec("u", u.raw())
@@ -407,17 +319,10 @@ LqgOsController::finishInvoke()
 
     PlacementPolicy out;
     out.threads_big =
-        std::clamp(u[0], 0.0, static_cast<double>(pending_threads_));
+        std::clamp(u[0], 0.0, static_cast<double>(s.num_threads));
     out.tpc_big = std::max(1.0, u[1]);
     out.tpc_little = std::max(1.0, u[2]);
     return out;
-}
-
-PlacementPolicy
-LqgOsController::invoke(const OsSignals& s)
-{
-    stage(s);
-    return finishInvoke();
 }
 
 void

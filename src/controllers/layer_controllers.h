@@ -41,10 +41,6 @@ class SsvHwController : public HwController
     platform::HardwareInputs invoke(const HwSignals& s) override;
     void reset() override;
 
-    /** Batched-tick split (bit-identical to invoke()). */
-    bool beginInvoke(const HwSignals& s, BatchRuntime& batch) override;
-    platform::HardwareInputs finishInvoke() override;
-
     /** Emits per-tick "hw"/"ssv" events to @p sink (nullptr off). */
     void attachTrace(obs::TraceSink* sink) override;
 
@@ -89,15 +85,11 @@ class SsvHwController : public HwController
     }
 
   private:
-    /** Front half of invoke(): optimizer + staging the runtime. */
-    void stage(const HwSignals& s);
-
     SsvRuntime runtime_;
     ExdOptimizer optimizer_;
     linalg::Vector held_targets_;
     bool hold_ = false;
     obs::TraceSink* trace_ = nullptr;
-    linalg::Vector pending_y_, pending_targets_, pending_ext_;
 };
 
 /** SSV software controller (Sec. IV-B) + optimizer. */
@@ -110,10 +102,6 @@ class SsvOsController : public OsController
     /** OsController hooks: one control period; reset clears state. */
     platform::PlacementPolicy invoke(const OsSignals& s) override;
     void reset() override;
-
-    /** Batched-tick split (bit-identical to invoke()). */
-    bool beginInvoke(const OsSignals& s, BatchRuntime& batch) override;
-    platform::PlacementPolicy finishInvoke() override;
 
     /** Emits per-tick "os"/"ssv" events to @p sink (nullptr off). */
     void attachTrace(obs::TraceSink* sink) override;
@@ -143,16 +131,11 @@ class SsvOsController : public OsController
     }
 
   private:
-    /** Front half of invoke(): optimizer + staging the runtime. */
-    void stage(const OsSignals& s);
-
     SsvRuntime runtime_;
     ExdOptimizer optimizer_;
     linalg::Vector held_targets_;
     bool hold_ = false;
     obs::TraceSink* trace_ = nullptr;
-    linalg::Vector pending_y_, pending_targets_, pending_ext_;
-    std::size_t pending_threads_ = 0;
 };
 
 /** Decoupled-LQG hardware controller (no external signals). */
@@ -165,10 +148,6 @@ class LqgHwController : public HwController
     /** HwController hooks: one control period; reset clears state. */
     platform::HardwareInputs invoke(const HwSignals& s) override;
     void reset() override;
-
-    /** Batched-tick split (bit-identical to invoke()). */
-    bool beginInvoke(const HwSignals& s, BatchRuntime& batch) override;
-    platform::HardwareInputs finishInvoke() override;
 
     /** Emits per-tick "hw"/"lqg" events to @p sink (nullptr off). */
     void attachTrace(obs::TraceSink* sink) override;
@@ -198,15 +177,11 @@ class LqgHwController : public HwController
     }
 
   private:
-    /** Front half of invoke(): optimizer + staging the runtime. */
-    void stage(const HwSignals& s);
-
     LqgRuntime runtime_;
     ExdOptimizer optimizer_;
     linalg::Vector held_targets_;
     bool hold_ = false;
     obs::TraceSink* trace_ = nullptr;
-    linalg::Vector pending_y_, pending_targets_;
 };
 
 /** Decoupled-LQG software controller. */
@@ -219,10 +194,6 @@ class LqgOsController : public OsController
     /** OsController hooks: one control period; reset clears state. */
     platform::PlacementPolicy invoke(const OsSignals& s) override;
     void reset() override;
-
-    /** Batched-tick split (bit-identical to invoke()). */
-    bool beginInvoke(const OsSignals& s, BatchRuntime& batch) override;
-    platform::PlacementPolicy finishInvoke() override;
 
     /** Emits per-tick "os"/"lqg" events to @p sink (nullptr off). */
     void attachTrace(obs::TraceSink* sink) override;
@@ -244,14 +215,9 @@ class LqgOsController : public OsController
     }
 
   private:
-    /** Front half of invoke(): optimizer + staging the runtime. */
-    void stage(const OsSignals& s);
-
     LqgRuntime runtime_;
     ExdOptimizer optimizer_;
     obs::TraceSink* trace_ = nullptr;
-    linalg::Vector pending_y_, pending_targets_;
-    std::size_t pending_threads_ = 0;
 };
 
 /** Controller that manages both layers from one loop. */

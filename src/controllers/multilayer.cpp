@@ -177,17 +177,11 @@ MultilayerSystem::installHwRuntime(SsvRuntime runtime)
 }
 
 void
-MultilayerSystem::stepPeriodBegin(BatchRuntime* batch)
+MultilayerSystem::stepPeriod()
 {
     YUKTA_PROFILE_SCOPE("multilayer_tick");
     const double t = t_;
     const int period = periods_;
-    pending_ = PendingTick{};
-    pending_.in_progress = true;
-    // Trace events interleave differently when the layer invocations
-    // split (optimizer events land before both layer events instead
-    // of between them), so batching is only taken without a sink.
-    const bool may_defer = batch != nullptr && sink_ == nullptr;
     if (sink_ != nullptr) {
         sink_->beginTick(period, t);
     }
@@ -197,102 +191,61 @@ MultilayerSystem::stepPeriodBegin(BatchRuntime* batch)
         if (supervisor_) {
             supervisor_->noteSkippedTick();
         }
-        pending_.dropped = true;
-        return;
-    }
-    SensorReadings obs = board_.readings();
-    if (injector_) {
-        obs = injector_->corruptReadings(t, obs);
-    }
-
-    SupervisorMode mode = SupervisorMode::kNominal;
-    if (supervisor_) {
-        SupervisorDecision d = supervisor_->assess(period, t, obs);
-        obs = d.readings;
-        mode = d.mode;
-        if (d.reset_primaries) {
-            if (hw_) {
-                hw_->reset();
-            }
-            if (os_) {
-                os_->reset();
-            }
-            if (joint_) {
-                joint_->reset();
-            }
+    } else {
+        SensorReadings obs = board_.readings();
+        if (injector_) {
+            obs = injector_->corruptReadings(t, obs);
         }
-    }
 
-    HwSignals hw_sig = gatherHw(obs);
-    OsSignals os_sig = gatherOs(obs);
-
-    HardwareInputs hw_in = last_hw_;
-    PlacementPolicy policy = last_policy_;
-    switch (mode) {
-      case SupervisorMode::kNominal:
-        if (joint_) {
-            auto [h, p] = joint_->invoke(hw_sig, os_sig);
-            hw_in = h;
-            policy = p;
-        } else {
-            // Both layers observe start-of-period state only, so
-            // deferring their linear passes to the shared batch
-            // cannot change what either one sees.
-            if (hw_) {
-                if (may_defer && hw_->beginInvoke(hw_sig, *batch)) {
-                    pending_.hw_deferred = true;
-                } else {
-                    hw_in = hw_->invoke(hw_sig);
+        SupervisorMode mode = SupervisorMode::kNominal;
+        if (supervisor_) {
+            SupervisorDecision d = supervisor_->assess(period, t, obs);
+            obs = d.readings;
+            mode = d.mode;
+            if (d.reset_primaries) {
+                if (hw_) {
+                    hw_->reset();
+                }
+                if (os_) {
+                    os_->reset();
+                }
+                if (joint_) {
+                    joint_->reset();
                 }
             }
-            if (os_) {
-                if (may_defer && os_->beginInvoke(os_sig, *batch)) {
-                    pending_.os_deferred = true;
-                } else {
+        }
+
+        HwSignals hw_sig = gatherHw(obs);
+        OsSignals os_sig = gatherOs(obs);
+
+        HardwareInputs hw_in = last_hw_;
+        PlacementPolicy policy = last_policy_;
+        switch (mode) {
+          case SupervisorMode::kNominal:
+            if (joint_) {
+                auto [h, p] = joint_->invoke(hw_sig, os_sig);
+                hw_in = h;
+                policy = p;
+            } else {
+                if (hw_) {
+                    hw_in = hw_->invoke(hw_sig);
+                }
+                if (os_) {
                     policy = os_->invoke(os_sig);
                 }
             }
+            break;
+          case SupervisorMode::kHold:
+            break;  // Last commands stay in force.
+          case SupervisorMode::kFallback:
+            hw_in = supervisor_->fallbackHardware(hw_sig);
+            policy = supervisor_->fallbackPolicy(os_sig);
+            break;
+          case SupervisorMode::kSafe:
+            hw_in = supervisor_->safeHardware();
+            policy = supervisor_->safePolicy();
+            break;
         }
-        break;
-      case SupervisorMode::kHold:
-        break;  // Last commands stay in force.
-      case SupervisorMode::kFallback:
-        hw_in = supervisor_->fallbackHardware(hw_sig);
-        policy = supervisor_->fallbackPolicy(os_sig);
-        break;
-      case SupervisorMode::kSafe:
-        hw_in = supervisor_->safeHardware();
-        policy = supervisor_->safePolicy();
-        break;
-    }
-
-    pending_.mode = mode;
-    pending_.hw_in = hw_in;
-    pending_.policy = policy;
-    pending_.instr_big = obs.instr_big;
-    pending_.instr_little = obs.instr_little;
-}
-
-void
-MultilayerSystem::stepPeriodFinish()
-{
-    YUKTA_PROFILE_SCOPE("multilayer_tick");
-    if (!pending_.in_progress) {
-        throw std::logic_error(
-            "MultilayerSystem::stepPeriodFinish: no pending period");
-    }
-    pending_.in_progress = false;
-    const double t = t_;
-    if (!pending_.dropped) {
-        HardwareInputs hw_in = pending_.hw_in;
-        PlacementPolicy policy = pending_.policy;
-        if (pending_.hw_deferred) {
-            hw_in = hw_->finishInvoke();
-        }
-        if (pending_.os_deferred) {
-            policy = os_->finishInvoke();
-        }
-        const SupervisorMode mode = pending_.mode;
 
         if (supervisor_) {
             hw_in = supervisor_->guardHardware(hw_in);
@@ -327,9 +280,9 @@ MultilayerSystem::stepPeriodFinish()
         // Marks advance in observation space, so corrupted (or
         // repaired) counters stay consistent with the BIPS deltas
         // the controllers were shown.
-        last_instr_big_ = pending_.instr_big;
-        last_instr_little_ = pending_.instr_little;
-        last_instr_total_ = pending_.instr_big + pending_.instr_little;
+        last_instr_big_ = obs.instr_big;
+        last_instr_little_ = obs.instr_little;
+        last_instr_total_ = obs.instr_big + obs.instr_little;
     }
 
     board_.run(kControlPeriod);
@@ -344,13 +297,6 @@ MultilayerSystem::stepPeriodFinish()
     }
     t_ += kControlPeriod;
     ++periods_;
-}
-
-void
-MultilayerSystem::stepPeriod()
-{
-    stepPeriodBegin(nullptr);
-    stepPeriodFinish();
 }
 
 RunMetrics

@@ -97,24 +97,6 @@ class MultilayerSystem
      */
     void stepPeriod();
 
-    /**
-     * First half of stepPeriod(): observation, supervision, and the
-     * controllers' front halves. When @p batch is non-null (and no
-     * trace sink is attached -- event interleaving must not change),
-     * linear-core controllers stage their state-machine pass into it
-     * instead of running it; the caller ticks the batch and then
-     * calls stepPeriodFinish(). Begin(nullptr) + Finish() is
-     * bit-identical to stepPeriod().
-     */
-    void stepPeriodBegin(BatchRuntime* batch);
-
-    /**
-     * Second half of stepPeriod(): controllers' back halves,
-     * actuation, and the plant step.
-     * @throws std::logic_error without a prior stepPeriodBegin().
-     */
-    void stepPeriodFinish();
-
     /** @return metrics accumulated since the period clock restarted. */
     RunMetrics metrics() const;
 
@@ -205,21 +187,6 @@ class MultilayerSystem
     double last_instr_little_ = 0.0;
     double t_ = 0.0;
     int periods_ = 0;
-
-    /** In-flight period between stepPeriodBegin and stepPeriodFinish. */
-    struct PendingTick
-    {
-        bool in_progress = false;
-        bool dropped = false;      ///< Injector timing fault this tick.
-        SupervisorMode mode = SupervisorMode::kNominal;
-        bool hw_deferred = false;  ///< hw_ staged into the batch.
-        bool os_deferred = false;  ///< os_ staged into the batch.
-        platform::HardwareInputs hw_in;
-        platform::PlacementPolicy policy;
-        double instr_big = 0.0;    ///< Observation-space marks.
-        double instr_little = 0.0;
-    };
-    PendingTick pending_;
 
     HwSignals gatherHw(const platform::SensorReadings& obs) const;
     OsSignals gatherOs(const platform::SensorReadings& obs) const;

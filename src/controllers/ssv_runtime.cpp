@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "controllers/batch_runtime.h"
 #include "core/contracts.h"
 #include "linalg/qr.h"
 
@@ -40,19 +39,11 @@ SsvRuntime::SsvRuntime(robust::SsvController ctrl,
     }
     num_outputs_ = ndy - e_mean_.size();
     x_ = Vector::zeros(ctrl_.k.numStates());
-    batch_key_ = batch_detail::stateSpaceKey(ctrl_.k);
 }
 
 Vector
 SsvRuntime::invoke(const Vector& deviations, const Vector& external,
                    SsvInvokeInfo* info)
-{
-    beginInvoke(deviations, external);
-    return finishInvoke(info);
-}
-
-void
-SsvRuntime::beginInvoke(const Vector& deviations, const Vector& external)
 {
     if (deviations.size() != num_outputs_ ||
         external.size() != e_mean_.size()) {
@@ -102,33 +93,14 @@ SsvRuntime::beginInvoke(const Vector& deviations, const Vector& external)
         YUKTA_CHECK_FINITE(x_, "SsvRuntime: bumpless-transfer state "
                            "solve produced non-finite x");
     }
-    pending_dy_ = std::move(dy);
-    pending_dev_ = deviations;
-    has_pending_ = true;
-    linear_done_ = false;
-}
-
-Vector
-SsvRuntime::finishInvoke(SsvInvokeInfo* info)
-{
-    if (!has_pending_) {
-        throw std::logic_error(
-            "SsvRuntime::finishInvoke: no staged invocation");
-    }
-    has_pending_ = false;
-    // Linear state machine (Eqs. 3-4), unless a BatchRuntime already
-    // advanced it (bit-identically) in a batched pass.
-    if (!linear_done_) {
-        pending_u_ = control::stepOnce(ctrl_.k, x_, pending_dy_);
-        linear_done_ = true;
-    }
-    const Vector& u = pending_u_;
+    // Linear state machine (Eqs. 3-4).
+    const Vector u = control::stepOnce(ctrl_.k, x_, dy);
     YUKTA_CHECK_FINITE(x_, "SsvRuntime: controller state poisoned after "
                        "x(T+1) = A x(T) + B dy(T)");
     YUKTA_CHECK_FINITE(u, "SsvRuntime: non-finite controller output");
 
     if (info != nullptr) {
-        info->dy = pending_dy_;
+        info->dy = dy;
         info->x = x_;
         info->u_raw = Vector(grids_.size());
         info->saturated.assign(grids_.size(), 0);
@@ -158,7 +130,7 @@ SsvRuntime::finishInvoke(SsvInvokeInfo* info)
     for (std::size_t i = 0; i < num_outputs_ &&
                             i < ctrl_.guaranteed_bounds.size();
          ++i) {
-        if (std::abs(pending_dev_[i]) > ctrl_.guaranteed_bounds[i]) {
+        if (std::abs(deviations[i]) > ctrl_.guaranteed_bounds[i]) {
             over = true;
             break;
         }

@@ -8,8 +8,6 @@ core::Artifacts
 fleetArtifacts()
 {
     core::ArtifactOptions opt;
-    // Must stay identical to goldenArtifacts() in
-    // tests/golden/scenario.h: same recipe, same cache entry.
     opt.cache_tag = "golden";
     opt.training.apps = {"swaptions", "milc"};
     opt.training.seconds_per_app = 60.0;

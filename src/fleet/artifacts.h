@@ -16,9 +16,9 @@ namespace yukta::fleet {
 
 /**
  * Builds (or loads from the on-disk cache) the reduced artifact
- * bundle fleet runs execute against. Deterministic and bit-stable,
- * matching tests/golden/scenario.h's goldenArtifacts() so the two
- * share one cache entry.
+ * bundle fleet runs execute against. Deterministic and bit-stable;
+ * the golden-trace suite (tests/golden/scenario.h) runs against the
+ * same bundle.
  */
 core::Artifacts fleetArtifacts();
 

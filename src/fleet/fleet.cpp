@@ -9,7 +9,6 @@
 #include <thread>
 #include <utility>
 
-#include "controllers/batch_runtime.h"
 #include "core/cache.h"
 #include "obs/stopwatch.h"
 #include "obs/trace.h"
@@ -486,13 +485,6 @@ FleetSim::stepBoard(FleetBoard& fb, double epoch_end,
                     double drain_scale) const
 {
     fb.system.stepPeriod();
-    drainBoard(fb, epoch_end, drain_scale);
-}
-
-void
-FleetSim::drainBoard(FleetBoard& fb, double epoch_end,
-                     double drain_scale) const
-{
     const double instr = fb.system.board().perfCounters().total();
     const double served = std::max(0.0, instr - fb.last_instr);
     fb.last_instr = instr;
@@ -569,16 +561,6 @@ FleetSim::run(std::size_t workers, const CheckpointConfig& ckpt)
     const int num_boards = cfg_.boards;
     const int num_shards =
         cfg_.shards <= 0 ? num_boards : std::min(cfg_.shards, num_boards);
-
-    // One batch engine per shard (shards are shared-nothing, and the
-    // engine's SoA workspaces then persist across epochs). Boards in
-    // a shard share controller artifacts, so their state machines
-    // land in common shape-class groups and tick as one blocked
-    // matrix-matrix pass.
-    std::vector<controllers::BatchRuntime> shard_batches;
-    if (cfg_.batch_tick) {
-        shard_batches.resize(static_cast<std::size_t>(num_shards));
-    }
 
     for (int epoch = epoch_; epoch < epochs; ++epoch) {
         const double t0 = static_cast<double>(epoch) * kControlPeriod;
@@ -696,18 +678,10 @@ FleetSim::run(std::size_t workers, const CheckpointConfig& ckpt)
                 if (!needed) {
                     continue;
                 }
-                controllers::BatchRuntime* batch =
-                    cfg_.batch_tick
-                        ? &shard_batches[static_cast<std::size_t>(s)]
-                        : nullptr;
                 tasks.push_back([this, lo, hi, t0, epoch_end, attempt,
-                                 block_on_hang, batch, &stepped](
+                                 block_on_hang, &stepped](
                                     const runner::CancelToken& token) {
                     bool hung = false;
-                    // Boards this attempt may step (skip list is
-                    // identical to the scalar path's).
-                    std::vector<int> ready;
-                    ready.reserve(static_cast<std::size_t>(hi - lo));
                     for (int b = lo; b < hi; ++b) {
                         if (stepped[static_cast<std::size_t>(b)] != 0) {
                             continue;
@@ -716,32 +690,9 @@ FleetSim::run(std::size_t workers, const CheckpointConfig& ckpt)
                             hung = true;
                             continue;
                         }
-                        ready.push_back(b);
-                    }
-                    if (batch != nullptr) {
-                        // Batched tick: stage every board's period,
-                        // advance the shared shape-class groups in
-                        // one blocked pass, then scatter back into
-                        // each board's supervisor/fault/drain path.
-                        for (int b : ready) {
-                            boards_[static_cast<std::size_t>(b)]
-                                ->system.stepPeriodBegin(batch);
-                        }
-                        batch->tick();
-                        for (int b : ready) {
-                            FleetBoard& fb =
-                                *boards_[static_cast<std::size_t>(b)];
-                            fb.system.stepPeriodFinish();
-                            drainBoard(fb, epoch_end, drainScale(b, t0));
-                            stepped[static_cast<std::size_t>(b)] = 1;
-                        }
-                    } else {
-                        for (int b : ready) {
-                            stepBoard(
-                                *boards_[static_cast<std::size_t>(b)],
-                                epoch_end, drainScale(b, t0));
-                            stepped[static_cast<std::size_t>(b)] = 1;
-                        }
+                        stepBoard(*boards_[static_cast<std::size_t>(b)],
+                                  epoch_end, drainScale(b, t0));
+                        stepped[static_cast<std::size_t>(b)] = 1;
                     }
                     if (hung && block_on_hang) {
                         // Model the stall: this worker wedges until

@@ -124,25 +124,15 @@ struct FleetConfig
     bool fault_aware = true;
 
     /**
-     * True: each shard ticks its boards' controller state machines
-     * through one batched matrix-matrix pass per epoch (BatchRuntime)
-     * instead of per-board matrix-vector passes. Bit-identical to the
-     * scalar path, so this is an execution knob, not part of the
-     * run's identity (excluded from canonical(); checkpoints
-     * interoperate across modes).
-     */
-    bool batch_tick = true;
-
-    /**
      * True (--adapt): every board runs the online adaptation loop on
      * its hardware layer -- RLS system identification alongside the
      * shipped controller, CUSUM drift detection against the shipped
      * model, drift-triggered re-synthesis on the shard pool, and
      * bumpless hot-swap of the refreshed controller. On the plant the
      * model was identified for, the CUSUM never fires and the run is
-     * bit-identical to adapt=false, so -- like batch_tick -- this is
-     * excluded from canonical(); checkpoints record per-board adapter
-     * presence and restore refuses a mismatch.
+     * bit-identical to adapt=false, so this is excluded from
+     * canonical(); checkpoints record per-board adapter presence and
+     * restore refuses a mismatch.
      */
     bool adapt = false;
 
@@ -416,13 +406,6 @@ class FleetSim
     /** Steps one board one control period and drains its queue. */
     void stepBoard(FleetBoard& fb, double epoch_end,
                    double drain_scale) const;
-
-    /**
-     * Post-tick half of stepBoard: EMA/rollup bookkeeping and queue
-     * drain at the rate of work actually retired this period.
-     */
-    void drainBoard(FleetBoard& fb, double epoch_end,
-                    double drain_scale) const;
 };
 
 }  // namespace yukta::fleet

@@ -1,4 +1,5 @@
-// Tests for discretize, lyapunov, riccati, lqg, and balance.
+// Tests for discretize (Tustin and ZOH), lyapunov, riccati, lqg, and
+// balance.
 #include <cmath>
 #include <stdexcept>
 
@@ -70,6 +71,63 @@ TEST(Discretize, ArgumentValidation)
     EXPECT_THROW(d2c(cont), std::invalid_argument);
     StateSpace disc = c2d(cont, 1.0);
     EXPECT_THROW(c2d(disc, 1.0), std::invalid_argument);
+}
+
+TEST(Zoh, MatchesAnalyticFirstOrder)
+{
+    // dx = -a x + u: Ad = e^{-a ts}, Bd = (1 - e^{-a ts}) / a.
+    double a = 2.0;
+    double ts = 0.3;
+    StateSpace sys(Matrix{{-a}}, Matrix{{1.0}}, Matrix{{1.0}},
+                   Matrix{{0.0}});
+    StateSpace d = c2dZoh(sys, ts);
+    EXPECT_NEAR(d.a(0, 0), std::exp(-a * ts), 1e-12);
+    EXPECT_NEAR(d.b(0, 0), (1.0 - std::exp(-a * ts)) / a, 1e-12);
+    EXPECT_DOUBLE_EQ(d.ts, ts);
+}
+
+TEST(Zoh, ExactForPiecewiseConstantInput)
+{
+    // Simulating the ZOH discretization step-by-step must match the
+    // continuous solution at the sample points.
+    Matrix a{{-0.5, 1.0}, {-1.0, -0.5}};
+    Matrix b{{0.0}, {1.0}};
+    Matrix c{{1.0, 0.0}};
+    StateSpace sys(a, b, c, Matrix(1, 1));
+    double ts = 0.25;
+    StateSpace d = c2dZoh(sys, ts);
+
+    // Continuous propagation over one period with constant u = 1:
+    // x+ = e^{A ts} x + (int e^{A s} ds) B.
+    linalg::Vector x{0.3, -0.2};
+    linalg::Vector xd = x;
+    linalg::Vector u{1.0};
+    // Reference by fine Euler integration.
+    linalg::Vector xc = x;
+    int fine = 20000;
+    for (int i = 0; i < fine; ++i) {
+        linalg::Vector dx = a * xc + b * u;
+        xc += (ts / fine) * dx;
+    }
+    stepOnce(d, xd, u);
+    EXPECT_TRUE(xd.isApprox(xc, 1e-4));
+}
+
+TEST(Zoh, DcGainPreserved)
+{
+    StateSpace sys(Matrix{{-1.0, 0.3}, {0.0, -2.0}},
+                   Matrix{{1.0}, {0.5}}, Matrix{{1.0, 1.0}}, Matrix(1, 1));
+    StateSpace d = c2dZoh(sys, 0.5);
+    EXPECT_NEAR(d.dcGain()(0, 0), sys.dcGain()(0, 0), 1e-10);
+}
+
+TEST(Zoh, Validation)
+{
+    StateSpace cont(Matrix{{-1.0}}, Matrix{{1.0}}, Matrix{{1.0}},
+                    Matrix{{0.0}});
+    EXPECT_THROW(c2dZoh(cont, 0.0), std::invalid_argument);
+    StateSpace disc = c2dZoh(cont, 0.5);
+    EXPECT_THROW(c2dZoh(disc, 0.5), std::invalid_argument);
 }
 
 TEST(Lyapunov, DlyapSolvesEquation)

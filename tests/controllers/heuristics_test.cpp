@@ -3,6 +3,7 @@
 
 #include "controllers/heuristics.h"
 #include "controllers/multilayer.h"
+#include "obs/metrics.h"
 #include "platform/apps.h"
 
 namespace yukta::controllers {
@@ -208,6 +209,39 @@ TEST(Multilayer, TraceCollectedWhenEnabled)
     sys.enableTrace(1.0);
     RunMetrics m = sys.run(10.0);
     EXPECT_GE(m.trace.size(), 8u);
+}
+
+// stepPeriod() is one timed scope: with -DYUKTA_TRACE=ON each control
+// period records exactly one "profile.multilayer_tick" sample.
+TEST(Multilayer, ProfilesOneTickSamplePerPeriod)
+{
+    platform::AppModel tiny;
+    tiny.name = "tiny";
+    tiny.ipc_big = 2.0;
+    tiny.ipc_little = 0.7;
+    platform::AppPhase ph;
+    ph.num_threads = 2;
+    ph.work_per_thread = 50.0;
+    tiny.phases = {ph};
+
+    DvfsTable big(cfg.big);
+    DvfsTable little(cfg.little);
+    MultilayerSystem sys(
+        platform::Board(cfg, platform::Workload(tiny), 5),
+        std::make_unique<CoordinatedHwHeuristic>(cfg, big, little),
+        std::make_unique<CoordinatedOsHeuristic>(cfg));
+    const obs::Histogram& ticks =
+        obs::globalMetrics().histogram("profile.multilayer_tick");
+    const long long before = ticks.count();
+    for (int i = 0; i < 6; ++i) {
+        sys.stepPeriod();
+    }
+    EXPECT_EQ(sys.periods(), 6);
+#ifdef YUKTA_TRACE
+    EXPECT_EQ(ticks.count() - before, 6);
+#else
+    EXPECT_EQ(ticks.count() - before, 0);
+#endif
 }
 
 }  // namespace

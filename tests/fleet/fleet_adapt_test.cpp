@@ -3,8 +3,8 @@
 // the armed loop is invisible on the shipped plant (bit-identical
 // digests), checkpoints carry the adapter (RLS, CUSUM, swapped
 // controller text) across the swap, restore refuses an
-// adaptation-armed mismatch, and the batched tick engine re-stages a
-// swapped member bit-identically to the scalar path.
+// adaptation-armed mismatch, and a swapped run does not depend on how
+// the boards are partitioned into shards.
 #include <filesystem>
 #include <stdexcept>
 #include <string>
@@ -187,30 +187,30 @@ TEST(FleetAdapt, RestoreRefusesAdaptationMismatch)
     std::filesystem::remove_all(dir2);
 }
 
-// The batched tick engine must re-stage the swapped member and keep
-// every board bit-identical to the scalar path -- a swap on board 0
-// must not perturb the other members of the shard.
-TEST(FleetAdapt, BatchedTickReStagesSwappedMemberBitIdentically)
+// Shards are shared-nothing: a hot-swap on board 0 must not perturb
+// the other boards whether they share its shard or each have their
+// own (the default layout).
+TEST(FleetAdapt, SwappedRunIsIdenticalAcrossShardLayouts)
 {
     const auto artifacts = yukta::fleet::fleetArtifacts();
-    FleetConfig batched = adaptConfig(true, true, 4);
-    batched.shards = 1;  // All four boards share one batched shard.
-    FleetConfig scalar = batched;
-    scalar.batch_tick = false;
+    FleetConfig one_shard = adaptConfig(true, true, 4);
+    one_shard.shards = 1;  // All four boards in one shard.
+    FleetConfig per_board = one_shard;
+    per_board.shards = 0;  // One shard per board.
 
-    FleetMetrics mb;
-    FleetMetrics ms;
+    FleetMetrics m1;
+    FleetMetrics m4;
     {
-        FleetSim sim(batched, artifacts);
-        mb = sim.run(2);
+        FleetSim sim(one_shard, artifacts);
+        m1 = sim.run(2);
     }
     {
-        FleetSim sim(scalar, artifacts);
-        ms = sim.run(2);
+        FleetSim sim(per_board, artifacts);
+        m4 = sim.run(2);
     }
-    ASSERT_GE(mb.adapt.swaps, 1) << "the swap must actually happen";
-    EXPECT_EQ(mb.digest(), ms.digest());
-    EXPECT_EQ(mb.adapt.swaps, ms.adapt.swaps);
+    ASSERT_GE(m1.adapt.swaps, 1) << "the swap must actually happen";
+    EXPECT_EQ(m1.digest(), m4.digest());
+    EXPECT_EQ(m1.adapt.swaps, m4.adapt.swaps);
 }
 
 }  // namespace

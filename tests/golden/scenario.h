@@ -24,6 +24,7 @@
 #include "controllers/multilayer.h"
 #include "controllers/pid.h"
 #include "core/yukta.h"
+#include "fleet/artifacts.h"
 #include "obs/trace.h"
 #include "runner/sweep.h"
 
@@ -49,21 +50,15 @@ goldenFileName(const std::string& scheme_id)
 }
 
 /**
- * Builds the reduced artifact bundle the golden runs execute
- * against. Deliberately cheap (single D-K iteration, coarse mu grid)
- * so the suite stays fast; what matters is that it is bit-stable.
+ * The reduced artifact bundle the golden runs execute against: the
+ * fleet recipe (single D-K iteration, coarse mu grid), deliberately
+ * cheap so the suite stays fast; what matters is that it is
+ * bit-stable.
  */
 inline core::Artifacts
 goldenArtifacts()
 {
-    core::ArtifactOptions opt;
-    opt.cache_tag = "golden";
-    opt.training.apps = {"swaptions", "milc"};
-    opt.training.seconds_per_app = 60.0;
-    opt.dk.max_iterations = 1;
-    opt.dk.mu_grid = 12;
-    opt.dk.bisection_steps = 8;
-    return core::buildArtifacts(platform::BoardConfig::odroidXu3(), opt);
+    return fleet::fleetArtifacts();
 }
 
 /**

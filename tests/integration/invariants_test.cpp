@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "control/discretize.h"
-#include "control/hinf_norm.h"
 #include "control/interconnect.h"
 #include "control/riccati.h"
 #include "controllers/fixed_point.h"
@@ -13,6 +12,7 @@
 #include "linalg/svd.h"
 #include "linalg/test_util.h"
 #include "platform/scheduler.h"
+#include "support/hinf_norm.h"
 
 namespace yukta {
 namespace {
