@@ -48,6 +48,11 @@ echo "=== micro-bench smoke: per-tick controller cost ==="
 # oracle; the timings land in the JSON and never gate CI.
 ./build/bench/bench_micro_tick --quick --out build/BENCH_micro_tick.json
 
+echo "=== micro-bench smoke: plant substep cost ==="
+# Correctness-gated: every case must end on its pinned energy, bit for
+# bit; the timings land in the JSON and never gate CI.
+./build/bench/bench_micro_plant --quick --out build/BENCH_micro_plant.json
+
 echo "=== fleet smoke: admission gates + 1-vs-N determinism ==="
 # Fails unless admission strictly cuts SLO-violation time in every
 # overloaded scenario, leaves the un-overloaded one bit-identical,

@@ -14,7 +14,7 @@ namespace {
 /** Per-thread execution rate in giga-instructions per second. */
 double
 threadRate(const ThreadInfo& info, ClusterId cluster, double freq,
-           std::size_t sharers)
+           double share, double mux)
 {
     // Roofline-ish: time per (normalized) instruction is a core part
     // scaling with 1/f plus a memory part pinned to the 1 GHz-
@@ -23,12 +23,48 @@ threadRate(const ThreadInfo& info, ClusterId cluster, double freq,
     double rate_ghz = 1.0 / ((1.0 - m) / freq + m / 1.0);
     double ipc =
         cluster == ClusterId::kBig ? info.ipc_big : info.ipc_little;
-    double share =
-        sharers > 0 ? 1.0 / static_cast<double>(sharers) : 0.0;
-    // Small multiplexing overhead per extra thread on the core.
-    double mux = std::pow(0.97, static_cast<double>(sharers - 1));
     return ipc * rate_ghz * share * mux;
 }
+
+/** Mean busy share of a cluster's powered cores. */
+double
+clusterUtil(const std::vector<std::size_t>& per_core)
+{
+    if (per_core.empty()) {
+        return 0.0;
+    }
+    double u = 0.0;
+    for (std::size_t n : per_core) {
+        u += n > 0 ? 1.0 : 0.05;  // idle-but-on cores sip power
+    }
+    return u / static_cast<double>(per_core.size());
+}
+
+/** Summed workload switching activity of the threads on each cluster. */
+struct ActivitySums
+{
+    double big = 0.0;
+    double little = 0.0;
+    std::size_t n_big = 0;
+    std::size_t n_little = 0;
+
+    void add(ClusterId c, double activity)
+    {
+        if (c == ClusterId::kBig) {
+            big += activity;
+            ++n_big;
+        } else {
+            little += activity;
+            ++n_little;
+        }
+    }
+
+    /** Average activity over the cluster's threads (1 when none). */
+    static double mean(double sum, std::size_t n)
+    {
+        return n > 0 ? sum / static_cast<double>(n) : 1.0;
+    }
+};
 
 }  // namespace
 
@@ -138,6 +174,28 @@ Board::refreshPlacement(bool force)
     std::size_t threads = workload_.numRunnableThreads();
     placement_ = placeThreads(policy_, threads, applied_.big_cores,
                               applied_.little_cores);
+    cachePlacementFactors();
+}
+
+void
+Board::cachePlacementFactors()
+{
+    std::size_t n = placement_.thread_cluster.size();
+    thread_share_.resize(n);
+    thread_mux_.resize(n);
+    for (std::size_t t = 0; t < n; ++t) {
+        std::size_t core = placement_.thread_core[t];
+        std::size_t sharers =
+            placement_.thread_cluster[t] == ClusterId::kBig
+                ? placement_.big_core_threads[core]
+                : placement_.little_core_threads[core];
+        thread_share_[t] =
+            sharers > 0 ? 1.0 / static_cast<double>(sharers) : 0.0;
+        // Small multiplexing overhead per extra thread on the core.
+        thread_mux_[t] = std::pow(0.97, static_cast<double>(sharers - 1));
+    }
+    util_big_ = clusterUtil(placement_.big_core_threads);
+    util_little_ = clusterUtil(placement_.little_core_threads);
 }
 
 double
@@ -180,44 +238,40 @@ Board::stepOnce()
     migration_stall_left_ = std::max(0.0, migration_stall_left_ - dt);
 
     // Pass 1: natural execution rate per thread from its core
-    // assignment.
+    // assignment, and each cluster's switching activity.
     std::size_t nmap = std::min(threads, placement_.thread_cluster.size());
     rate_scratch_.assign(nmap, 0.0);
     info_scratch_.clear();
-    double min_rate_per_instance[16];
-    for (int i = 0; i < 16; ++i) {
-        min_rate_per_instance[i] = 1e300;
-    }
+    // One barrier group per application instance.
+    min_rate_scratch_.assign(workload_.numInstances(), 1e300);
+    ActivitySums activity;
     for (std::size_t t = 0; t < nmap; ++t) {
         ClusterId c = placement_.thread_cluster[t];
-        std::size_t core = placement_.thread_core[t];
-        std::size_t sharers =
-            c == ClusterId::kBig
-                ? placement_.big_core_threads[core]
-                : placement_.little_core_threads[core];
         double f = c == ClusterId::kBig ? applied_.freq_big
                                         : applied_.freq_little;
         ThreadInfo info = workload_.threadInfo(t);
-        double rate = threadRate(info, c, f, sharers) * stall_factor;
+        double rate = threadRate(info, c, f, thread_share_[t],
+                                 thread_mux_[t]) *
+                      stall_factor;
         rate_scratch_[t] = rate;
         info_scratch_.push_back(info);
-        std::size_t inst = info.instance < 16 ? info.instance : 15;
         if (info.barrier_coupling > 0.0) {
-            min_rate_per_instance[inst] =
-                std::min(min_rate_per_instance[inst], rate);
+            double& slowest = min_rate_scratch_[info.instance];
+            slowest = std::min(slowest, rate);
         }
+        activity.add(c, info.activity);
     }
 
     // Pass 2: iteration-level barriers drag coupled threads toward
     // their slowest sibling, then retire the work.
     double instr_big = 0.0;
     double instr_little = 0.0;
+    bool replaced = false;
     for (std::size_t t = 0; t < nmap; ++t) {
         const ThreadInfo& info = info_scratch_[t];
         double rate = rate_scratch_[t];
         if (info.barrier_coupling > 0.0) {
-            std::size_t inst = info.instance < 16 ? info.instance : 15;
-            double slowest = min_rate_per_instance[inst];
+            double slowest = min_rate_scratch_[info.instance];
             if (slowest < rate) {
                 rate = (1.0 - info.barrier_coupling) * rate +
                        info.barrier_coupling * slowest;
@@ -233,6 +287,7 @@ Board::stepOnce()
         if (workload_.placementVersion() != placement_version_) {
             // Phase change mid-step: stop executing with a stale map.
             refreshPlacement(false);
+            replaced = true;
             break;
         }
     }
@@ -240,43 +295,30 @@ Board::stepOnce()
     counters_.instr_little += instr_little;
 
     // --- Power. ---
-    auto clusterUtil = [](const std::vector<std::size_t>& per_core) {
-        if (per_core.empty()) {
-            return 0.0;
+    if (replaced) {
+        // Power sees the post-change board: re-read the activity of
+        // the new runnable set under its new placement.
+        activity = ActivitySums{};
+        std::size_t n =
+            std::min(threads, placement_.thread_cluster.size());
+        for (std::size_t t = 0; t < n; ++t) {
+            activity.add(placement_.thread_cluster[t],
+                         workload_.threadInfo(t).activity);
         }
-        double u = 0.0;
-        for (std::size_t n : per_core) {
-            u += n > 0 ? 1.0 : 0.05;  // idle-but-on cores sip power
-        }
-        return u / static_cast<double>(per_core.size());
-    };
-    auto clusterActivity = [&](ClusterId c) {
-        // Average workload activity over threads on the cluster.
-        double sum = 0.0;
-        std::size_t n = 0;
-        for (std::size_t t = 0; t < threads &&
-                                t < placement_.thread_cluster.size();
-             ++t) {
-            if (placement_.thread_cluster[t] == c) {
-                sum += workload_.threadInfo(t).activity;
-                ++n;
-            }
-        }
-        return n > 0 ? sum / static_cast<double>(n) : 1.0;
-    };
+    }
 
     ClusterActivity act_big;
     act_big.cores_on = applied_.big_cores;
     act_big.freq = applied_.freq_big;
-    act_big.avg_utilization = clusterUtil(placement_.big_core_threads);
-    act_big.activity = clusterActivity(ClusterId::kBig);
+    act_big.avg_utilization = util_big_;
+    act_big.activity = ActivitySums::mean(activity.big, activity.n_big);
 
     ClusterActivity act_little;
     act_little.cores_on = applied_.little_cores;
     act_little.freq = applied_.freq_little;
-    act_little.avg_utilization =
-        clusterUtil(placement_.little_core_threads);
-    act_little.activity = clusterActivity(ClusterId::kLittle);
+    act_little.avg_utilization = util_little_;
+    act_little.activity =
+        ActivitySums::mean(activity.little, activity.n_little);
 
     double temp = thermal_.hotspot();
     true_p_big_ = power_big_.clusterPower(act_big, temp);
@@ -299,8 +341,7 @@ Board::stepOnce()
     // --- Emergency heuristics (TMU). ---
     EmergencyCaps before = tmu_.caps();
     EmergencyCaps caps =
-        tmu_.step(dt, thermal_.hotspot(), true_p_big_, true_p_little_,
-                  applied_.freq_big, applied_.freq_little);
+        tmu_.step(dt, thermal_.hotspot(), true_p_big_, true_p_little_);
     if (caps.freq_cap_big != before.freq_cap_big ||
         caps.freq_cap_little != before.freq_cap_little ||
         caps.max_big_cores != before.max_big_cores) {
@@ -459,6 +500,21 @@ Board::load(obs::StateReader& r)
     }
     placement_.thread_core = fromU64(r.u64vec("board.place.core"));
     placement_version_ = r.u64("board.place.version");
+    // Every thread must sit on a core of its cluster before the
+    // per-thread factors index the per-core counts.
+    bool consistent = placement_.thread_core.size() ==
+                      placement_.thread_cluster.size();
+    for (std::size_t t = 0; consistent && t < placement_.thread_core.size();
+         ++t) {
+        consistent = placement_.thread_core[t] <
+                     (placement_.thread_cluster[t] == ClusterId::kBig
+                          ? placement_.big_core_threads.size()
+                          : placement_.little_core_threads.size());
+    }
+    if (!consistent) {
+        throw std::runtime_error("Board::load: inconsistent placement");
+    }
+    cachePlacementFactors();
 
     time_ = r.f64("board.time");
     energy_ = r.f64("board.energy");

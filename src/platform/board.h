@@ -256,8 +256,16 @@ class Board
     std::size_t rejected_inputs_ = 0;
     PerfCounters counters_;
 
+    // Derived from placement_ alone (cachePlacementFactors): rebuilt
+    // whenever the placement changes and on load, never serialized.
+    std::vector<double> thread_share_;  ///< 1 / sharers of its core.
+    std::vector<double> thread_mux_;    ///< 0.97^(sharers - 1).
+    double util_big_ = 0.0;             ///< Mean busy share, big cores.
+    double util_little_ = 0.0;          ///< Mean busy share, little.
+
     std::vector<double> rate_scratch_;       ///< Reused per step.
     std::vector<ThreadInfo> info_scratch_;   ///< Reused per step.
+    std::vector<double> min_rate_scratch_;   ///< Per instance, per step.
 
     double trace_interval_ = 0.0;
     double trace_timer_ = 0.0;
@@ -267,6 +275,7 @@ class Board
     void stepOnce();
     void refreshApplied();
     void refreshPlacement(bool force);
+    void cachePlacementFactors();
 };
 
 }  // namespace yukta::platform

@@ -7,7 +7,6 @@
 namespace yukta::platform {
 
 DvfsTable::DvfsTable(const ClusterConfig& cfg)
-    : volt_min_(cfg.volt_min), volt_max_(cfg.volt_max)
 {
     if (cfg.freq_max <= cfg.freq_min || cfg.freq_step <= 0.0) {
         throw std::invalid_argument("DvfsTable: bad frequency range");
@@ -15,6 +14,14 @@ DvfsTable::DvfsTable(const ClusterConfig& cfg)
     for (double f = cfg.freq_min; f <= cfg.freq_max + 1e-9;
          f += cfg.freq_step) {
         freqs_.push_back(std::round(f * 10.0) / 10.0);
+    }
+    // Linear V/f interpolation across the grid.
+    double span = freqs_.back() - freqs_.front();
+    volts_.reserve(freqs_.size());
+    for (double fq : freqs_) {
+        double frac = span > 0.0 ? (fq - freqs_.front()) / span : 0.0;
+        volts_.push_back(cfg.volt_min +
+                         frac * (cfg.volt_max - cfg.volt_min));
     }
 }
 
@@ -40,13 +47,11 @@ DvfsTable::quantize(double f) const
     return freqs_[indexOf(f)];
 }
 
-double
-DvfsTable::voltage(double f) const
+DvfsTable::OperatingPoint
+DvfsTable::operatingPoint(double f) const
 {
-    double fq = quantize(f);
-    double span = freqs_.back() - freqs_.front();
-    double frac = span > 0.0 ? (fq - freqs_.front()) / span : 0.0;
-    return volt_min_ + frac * (volt_max_ - volt_min_);
+    std::size_t i = indexOf(f);
+    return {freqs_[i], volts_[i]};
 }
 
 double

@@ -18,6 +18,13 @@ namespace yukta::platform {
 class DvfsTable
 {
   public:
+    /** One grid level: its frequency and that frequency's voltage. */
+    struct OperatingPoint
+    {
+        double freq = 0.0;  ///< GHz, on the grid.
+        double volt = 0.0;  ///< V.
+    };
+
     /** Builds the table from @p cfg (linear V/f interpolation). */
     explicit DvfsTable(const ClusterConfig& cfg);
 
@@ -30,8 +37,11 @@ class DvfsTable
     /** @return the closest allowed frequency to @p f (clamped). */
     double quantize(double f) const;
 
-    /** @return the voltage at (quantized) frequency @p f. */
-    double voltage(double f) const;
+    /**
+     * @return the closest grid level to @p f (quantize(f)) with its
+     * voltage, from a single grid lookup.
+     */
+    OperatingPoint operatingPoint(double f) const;
 
     /** @return the next level down from @p f, or the floor. */
     double stepDown(double f, std::size_t levels = 1) const;
@@ -45,8 +55,7 @@ class DvfsTable
 
   private:
     std::vector<double> freqs_;
-    double volt_min_;
-    double volt_max_;
+    std::vector<double> volts_;  ///< Voltage of each grid level.
 
     std::size_t indexOf(double f) const;
 };

@@ -11,37 +11,26 @@ PowerModel::PowerModel(const ClusterConfig& cfg, const DvfsTable& dvfs)
 }
 
 double
-PowerModel::dynamicPower(const ClusterActivity& act) const
-{
-    if (act.cores_on == 0) {
-        return 0.0;
-    }
-    double f = dvfs_.quantize(act.freq);
-    double v = dvfs_.voltage(f);
-    double per_core = cfg_.ceff * act.activity * v * v * f *
-                      std::clamp(act.avg_utilization, 0.0, 1.0);
-    return per_core * static_cast<double>(act.cores_on);
-}
-
-double
-PowerModel::leakagePower(const ClusterActivity& act, double temp) const
-{
-    if (act.cores_on == 0) {
-        return 0.0;
-    }
-    double f = dvfs_.quantize(act.freq);
-    double v = dvfs_.voltage(f);
-    double scale = v / cfg_.volt_max;
-    double thermal = 1.0 + cfg_.leak_tc * (temp - kLeakRefTemp);
-    return cfg_.leak_ref * scale * std::max(thermal, 0.2) *
-           static_cast<double>(act.cores_on);
-}
-
-double
 PowerModel::clusterPower(const ClusterActivity& act, double temp) const
 {
-    double uncore = act.cores_on > 0 ? cfg_.uncore : 0.0;
-    return dynamicPower(act) + leakagePower(act, temp) + uncore;
+    if (act.cores_on == 0) {
+        return 0.0;
+    }
+    const DvfsTable::OperatingPoint op = dvfs_.operatingPoint(act.freq);
+    const double f = op.freq;
+    const double v = op.volt;
+    const double cores = static_cast<double>(act.cores_on);
+
+    double per_core = cfg_.ceff * act.activity * v * v * f *
+                      std::clamp(act.avg_utilization, 0.0, 1.0);
+    double dynamic = per_core * cores;
+
+    double scale = v / cfg_.volt_max;
+    double thermal = 1.0 + cfg_.leak_tc * (temp - kLeakRefTemp);
+    double leakage =
+        cfg_.leak_ref * scale * std::max(thermal, 0.2) * cores;
+
+    return dynamic + leakage + cfg_.uncore;
 }
 
 ThermalModel::ThermalModel(const ThermalConfig& cfg) : cfg_(cfg)
@@ -63,10 +52,13 @@ ThermalModel::step(double weighted_power, double dt)
     // ambient + P * R_hs.
     double target_si = t_heatsink_ + weighted_power * cfg_.r_silicon;
     double target_hs = cfg_.ambient + weighted_power * cfg_.r_heatsink;
-    double a1 = 1.0 - std::exp(-dt / cfg_.tau_silicon);
-    double a2 = 1.0 - std::exp(-dt / cfg_.tau_heatsink);
-    t_silicon_ += a1 * (target_si - t_silicon_);
-    t_heatsink_ += a2 * (target_hs - t_heatsink_);
+    if (dt != last_dt_) {
+        last_dt_ = dt;
+        a1_ = 1.0 - std::exp(-dt / cfg_.tau_silicon);
+        a2_ = 1.0 - std::exp(-dt / cfg_.tau_heatsink);
+    }
+    t_silicon_ += a1_ * (target_si - t_silicon_);
+    t_heatsink_ += a2_ * (target_hs - t_heatsink_);
 }
 
 double

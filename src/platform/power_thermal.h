@@ -12,6 +12,8 @@
  * network (silicon hot spot over heatsink over ambient).
  */
 
+#include <limits>
+
 #include "obs/stateio.h"
 #include "platform/config.h"
 #include "platform/dvfs.h"
@@ -37,15 +39,9 @@ class PowerModel
     /**
      * @param act current activity.
      * @param temp current silicon temperature (C).
-     * @return total cluster power in watts.
+     * @return total cluster power in watts: dynamic + leakage + uncore.
      */
     double clusterPower(const ClusterActivity& act, double temp) const;
-
-    /** Dynamic-only component (for diagnostics). */
-    double dynamicPower(const ClusterActivity& act) const;
-
-    /** Leakage component at temperature @p temp. */
-    double leakagePower(const ClusterActivity& act, double temp) const;
 
   private:
     ClusterConfig cfg_;
@@ -96,6 +92,12 @@ class ThermalModel
     ThermalConfig cfg_;
     double t_silicon_;
     double t_heatsink_;
+
+    // Relaxation factors for the last step length (the board's dt
+    // never changes); derived from cfg_ alone, so never serialized.
+    double last_dt_ = std::numeric_limits<double>::quiet_NaN();
+    double a1_ = 0.0;  ///< 1 - exp(-dt / tau_silicon).
+    double a2_ = 0.0;  ///< 1 - exp(-dt / tau_heatsink).
 };
 
 }  // namespace yukta::platform

@@ -14,12 +14,8 @@ Tmu::Tmu(const TmuConfig& cfg, const BoardConfig& board, const DvfsTable& big,
 }
 
 EmergencyCaps
-Tmu::step(double dt, double temp, double p_big, double p_little, double f_big,
-          double f_little)
+Tmu::step(double dt, double temp, double p_big, double p_little)
 {
-    (void)f_big;
-    (void)f_little;
-
     // Track sustained power excess.
     if (p_big > cfg_.power_margin * board_.power_limit_big) {
         over_big_ += dt;

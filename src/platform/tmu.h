@@ -43,10 +43,8 @@ class Tmu
      * @param temp current hot-spot temperature (C, true value: the
      *   TMU has its own fast sensor path).
      * @param p_big, p_little current true cluster powers (W).
-     * @param f_big, f_little currently applied frequencies (GHz).
      */
-    EmergencyCaps step(double dt, double temp, double p_big, double p_little,
-                       double f_big, double f_little);
+    EmergencyCaps step(double dt, double temp, double p_big, double p_little);
 
     /** @return the caps currently in force. */
     const EmergencyCaps& caps() const { return caps_; }

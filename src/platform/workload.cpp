@@ -45,7 +45,28 @@ Workload::startPhase(Instance& inst)
         t.remaining = phase.work_per_thread;
         t.at_barrier = false;
     }
+    bumpVersion();
+}
+
+void
+Workload::bumpVersion()
+{
     ++version_;
+    rebuildIndex();
+}
+
+void
+Workload::rebuildIndex()
+{
+    runnable_.clear();
+    for (std::size_t ii = 0; ii < instances_.size(); ++ii) {
+        const Instance& inst = instances_[ii];
+        for (std::size_t ti = 0; ti < inst.threads.size(); ++ti) {
+            if (inst.threads[ti].remaining > 0.0) {
+                runnable_.push_back({ii, ti});
+            }
+        }
+    }
 }
 
 void
@@ -77,47 +98,23 @@ Workload::maybeAdvancePhase(Instance& inst)
     } else {
         inst.finished = true;
         inst.threads.clear();
-        ++version_;
+        bumpVersion();
     }
 }
 
-std::size_t
-Workload::numRunnableThreads() const
-{
-    std::size_t n = 0;
-    for (const Instance& inst : instances_) {
-        for (const ThreadState& t : inst.threads) {
-            if (t.remaining > 0.0) {
-                ++n;
-            }
-        }
-    }
-    return n;
-}
-
-std::pair<std::size_t, std::size_t>
+const Workload::Slot&
 Workload::locate(std::size_t i) const
 {
-    std::size_t idx = 0;
-    for (std::size_t ii = 0; ii < instances_.size(); ++ii) {
-        const Instance& inst = instances_[ii];
-        for (std::size_t ti = 0; ti < inst.threads.size(); ++ti) {
-            if (inst.threads[ti].remaining > 0.0) {
-                if (idx == i) {
-                    return {ii, ti};
-                }
-                ++idx;
-            }
-        }
+    if (i >= runnable_.size()) {
+        throw std::out_of_range("Workload: bad runnable thread index");
     }
-    throw std::out_of_range("Workload: bad runnable thread index");
+    return runnable_[i];
 }
 
 ThreadInfo
 Workload::threadInfo(std::size_t i) const
 {
-    auto [ii, ti] = locate(i);
-    (void)ti;
+    const std::size_t ii = locate(i).instance;
     const Instance& inst = instances_[ii];
     const AppPhase& phase = inst.app.phases[inst.phase];
     ThreadInfo info;
@@ -133,17 +130,21 @@ Workload::threadInfo(std::size_t i) const
 void
 Workload::retire(std::size_t i, double giga_instr)
 {
-    if (giga_instr < 0.0) {
-        throw std::invalid_argument("Workload::retire: negative work");
+    // A thread is runnable exactly while remaining > 0; the checks
+    // below keep NaN from leaving one neither runnable nor finished
+    // (out of the runnable set without a version bump).
+    if (!(giga_instr >= 0.0)) {
+        throw std::invalid_argument(
+            "Workload::retire: negative or NaN work");
     }
-    auto [ii, ti] = locate(i);
-    Instance& inst = instances_[ii];
-    ThreadState& t = inst.threads[ti];
+    const Slot slot = locate(i);  // a copy: bumpVersion() rebuilds
+    Instance& inst = instances_[slot.instance];
+    ThreadState& t = inst.threads[slot.thread];
     t.remaining -= giga_instr;
-    if (t.remaining <= 0.0) {
+    if (!(t.remaining > 0.0)) {
         t.remaining = 0.0;
         t.at_barrier = true;
-        ++version_;  // runnable set changed
+        bumpVersion();  // runnable set changed
         maybeAdvancePhase(inst);
     }
 }
@@ -232,6 +233,7 @@ Workload::load(obs::StateReader& r)
         }
     }
     version_ = r.u64("workload.version");
+    rebuildIndex();
 }
 
 }  // namespace yukta::platform

@@ -78,15 +78,23 @@ class Workload
     explicit Workload(AppModel app);
 
     /** @return number of currently runnable threads (not finished). */
-    std::size_t numRunnableThreads() const;
+    std::size_t numRunnableThreads() const { return runnable_.size(); }
 
-    /** @return attributes of runnable thread @p i (dense indexing). */
+    /** @return number of application instances (finished included). */
+    std::size_t numInstances() const { return instances_.size(); }
+
+    /**
+     * @return attributes of runnable thread @p i (dense indexing).
+     * @throws std::out_of_range when @p i >= numRunnableThreads().
+     */
     ThreadInfo threadInfo(std::size_t i) const;
 
     /**
      * Retires @p giga_instr of work on runnable thread @p i. Phase
      * transitions happen lazily inside this call; check
      * placementVersion() to detect them.
+     * @throws std::invalid_argument for negative or NaN work.
+     * @throws std::out_of_range when @p i >= numRunnableThreads().
      */
     void retire(std::size_t i, double giga_instr);
 
@@ -108,9 +116,9 @@ class Workload
 
     /**
      * Appends the mutable execution state (phase indices, per-thread
-     * progress, placement version) to @p w. The static app models are
-     * not serialized: load() requires a Workload built from the same
-     * apps.
+     * progress, placement version) to @p w. The static app models and
+     * the runnable-thread index are not serialized: load() requires a
+     * Workload built from the same apps and rebuilds the index.
      */
     void save(obs::StateWriter& w) const;
 
@@ -136,14 +144,32 @@ class Workload
         bool finished = false;
     };
 
+    /** Position of one runnable thread. */
+    struct Slot
+    {
+        std::size_t instance = 0;
+        std::size_t thread = 0;
+    };
+
     std::vector<Instance> instances_;
     std::size_t version_ = 0;
 
+    /**
+     * Dense runnable index -> (instance, thread), in instance then
+     * thread order over threads with work remaining. Invariant: it
+     * always describes the current thread states, because the
+     * runnable set only changes where version_ is bumped, and every
+     * bump (and load()) rebuilds it via bumpVersion()/rebuildIndex().
+     */
+    std::vector<Slot> runnable_;
+
     void startPhase(Instance& inst);
     void maybeAdvancePhase(Instance& inst);
+    void bumpVersion();
+    void rebuildIndex();
 
     /** Maps dense runnable index to (instance, thread). */
-    std::pair<std::size_t, std::size_t> locate(std::size_t i) const;
+    const Slot& locate(std::size_t i) const;
 };
 
 }  // namespace yukta::platform

@@ -1,9 +1,13 @@
 #include "platform/board.h"
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "obs/stateio.h"
 #include "platform/apps.h"
 
 namespace yukta::platform {
@@ -196,6 +200,124 @@ TEST(Board, MemoryBoundAppGainsLessFromFrequency)
     double gamess_gain = bips_at("gamess", 1.6) / bips_at("gamess", 0.8);
     double mcf_gain = bips_at("mcf", 1.6) / bips_at("mcf", 0.8);
     EXPECT_GT(gamess_gain, mcf_gain + 0.2);
+}
+
+/** Substeps after which the runnable thread count grew: a phase began. */
+std::vector<long>
+phaseStarts(const std::string& app, long max_steps)
+{
+    Board b = makeBoard(app);
+    std::vector<long> starts;
+    std::size_t prev = b.threadsRunning();
+    for (long s = 1; s <= max_steps && !b.done(); ++s) {
+        b.run(1e-3);
+        if (b.threadsRunning() > prev) {
+            starts.push_back(s);
+        }
+        prev = b.threadsRunning();
+    }
+    return starts;
+}
+
+std::string
+boardBytes(const Board& b)
+{
+    obs::StateWriter w;
+    b.save(w);
+    return w.dump();
+}
+
+/**
+ * Saves a board one substep before the phase transition at @p start,
+ * restores it into a fresh board and runs both on: the restored run
+ * must be bit-identical to the uninterrupted one.
+ */
+void
+expectResumeAcrossPhaseStart(const std::string& app, long start)
+{
+    SCOPED_TRACE(app + " phase start at substep " + std::to_string(start));
+    Board uninterrupted = makeBoard(app);
+    uninterrupted.run(static_cast<double>(start - 1) * 1e-3);
+    const std::string before = boardBytes(uninterrupted);
+
+    Board resumed = makeBoard(app);
+    obs::StateReader r(before);
+    resumed.load(r);
+    EXPECT_EQ(boardBytes(resumed), before);
+
+    uninterrupted.run(2.0);
+    resumed.run(2.0);
+    EXPECT_EQ(resumed.threadsRunning(), uninterrupted.threadsRunning());
+    EXPECT_EQ(resumed.energy(), uninterrupted.energy());
+    EXPECT_EQ(resumed.perfCounters().instr_big,
+              uninterrupted.perfCounters().instr_big);
+    EXPECT_EQ(resumed.perfCounters().instr_little,
+              uninterrupted.perfCounters().instr_little);
+    EXPECT_EQ(boardBytes(resumed), boardBytes(uninterrupted));
+}
+
+TEST(Board, ResumeAcrossSerialToParallelIsBitIdentical)
+{
+    const std::vector<long> starts = phaseStarts("blackscholes", 60000);
+    ASSERT_EQ(starts.size(), 1u);  // serial -> 8 parallel threads
+    expectResumeAcrossPhaseStart("blackscholes", starts[0]);
+}
+
+TEST(Board, ResumeAcrossEveryX264PhaseIsBitIdentical)
+{
+    // x264 chains four phases: serial, 8 threads, 5 threads, 8 threads.
+    const std::vector<long> starts = phaseStarts("x264", 300000);
+    ASSERT_EQ(starts.size(), 3u);
+    for (long start : starts) {
+        expectResumeAcrossPhaseStart("x264", start);
+    }
+}
+
+TEST(Board, LoadRejectsThreadOnMissingCore)
+{
+    // A checkpoint that places a thread on a core its cluster does not
+    // have is rejected, not used to index the per-core counts.
+    Board b = makeBoard("gamess");
+    b.run(0.01);
+    std::string bytes = boardBytes(b);
+    const std::string key = "\nboard.place.core.0=";
+    const std::size_t at = bytes.find(key);
+    ASSERT_NE(at, std::string::npos);
+    const std::size_t end = bytes.find('\n', at + 1);
+    bytes.replace(at + key.size(), end - at - key.size(), "9");
+
+    Board fresh = makeBoard("gamess");
+    obs::StateReader r(bytes);
+    EXPECT_THROW(fresh.load(r), std::runtime_error);
+}
+
+TEST(Board, BarrierGroupsStayPerInstancePastSixteen)
+{
+    // 17 single-thread instances: a barrier group of one never drags,
+    // so strong coupling must give exactly the uncoupled result. The
+    // last two instances run at different rates (15 shares a big core
+    // four ways, 16 has a little core to itself); had they shared a
+    // group, the faster one would be dragged toward the slower.
+    auto run = [](double coupling) {
+        AppModel app;
+        app.name = "solo";
+        app.ipc_big = 1.6;
+        app.ipc_little = 0.6;
+        AppPhase ph;
+        ph.num_threads = 1;
+        ph.work_per_thread = 1000.0;
+        ph.barrier_coupling = coupling;
+        app.phases = {ph};
+        Board b(BoardConfig::odroidXu3(),
+                Workload(std::vector<AppModel>(17, app)), 3);
+        b.applyPlacementPolicy({16.0, 4.0, 1.0});
+        b.run(1.0);
+        return b.perfCounters();
+    };
+    const PerfCounters coupled = run(0.9);
+    const PerfCounters free = run(0.0);
+    EXPECT_EQ(coupled.instr_big, free.instr_big);
+    EXPECT_EQ(coupled.instr_little, free.instr_little);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/stateio.h"
 #include "platform/apps.h"
 #include "platform/dvfs.h"
 #include "platform/power_thermal.h"
@@ -53,12 +54,28 @@ TEST(Dvfs, VoltageMonotone)
     DvfsTable big(cfg.big);
     double prev = 0.0;
     for (double f : big.frequencies()) {
-        double v = big.voltage(f);
+        double v = big.operatingPoint(f).volt;
         EXPECT_GE(v, prev);
         prev = v;
     }
-    EXPECT_NEAR(big.voltage(0.2), cfg.big.volt_min, 1e-12);
-    EXPECT_NEAR(big.voltage(2.0), cfg.big.volt_max, 1e-12);
+    EXPECT_NEAR(big.operatingPoint(0.2).volt, cfg.big.volt_min, 1e-12);
+    EXPECT_NEAR(big.operatingPoint(2.0).volt, cfg.big.volt_max, 1e-12);
+}
+
+TEST(Dvfs, OperatingPointIsTheQuantizedLevelAndItsVoltage)
+{
+    DvfsTable big(cfg.big);
+    const double lo = big.minFreq();
+    const double span = big.maxFreq() - lo;
+    for (double f = -0.5; f < 2.6; f += 0.0137) {
+        const DvfsTable::OperatingPoint op = big.operatingPoint(f);
+        const double fq = big.quantize(f);
+        EXPECT_EQ(op.freq, fq);
+        // Bit-exact linear V/f interpolation at the quantized level.
+        const double frac = (fq - lo) / span;
+        EXPECT_EQ(op.volt, cfg.big.volt_min +
+                               frac * (cfg.big.volt_max - cfg.big.volt_min));
+    }
 }
 
 TEST(Power, CalibrationBindsAtPaperLimits)
@@ -103,10 +120,11 @@ TEST(Power, MonotoneInFrequencyAndCores)
 
 TEST(Power, LeakageGrowsWithTemperature)
 {
+    // Only the leakage term depends on temperature.
     DvfsTable big(cfg.big);
     PowerModel pm(cfg.big, big);
     ClusterActivity a{4, 1.5, 0.5, 1.0};
-    EXPECT_GT(pm.leakagePower(a, 80.0), pm.leakagePower(a, 40.0));
+    EXPECT_GT(pm.clusterPower(a, 80.0), pm.clusterPower(a, 40.0));
 }
 
 TEST(Power, ZeroCoresZeroPower)
@@ -135,6 +153,27 @@ TEST(Thermal, MaxPowerPushesTowardLimit)
     // thermal constraint must actually bind).
     ThermalModel tm(cfg.thermal);
     EXPECT_GT(tm.steadyState(5.8), cfg.temp_limit - 5.0);
+}
+
+TEST(Thermal, StepLengthChangesTakeEffect)
+{
+    // The relaxation factors are cached per step length; a model that
+    // switches dt must match the closed form for each step taken.
+    ThermalModel tm(cfg.thermal);
+    double si = cfg.thermal.ambient;
+    double hs = cfg.thermal.ambient;
+    const double p = 3.0;
+    for (double dt : {1e-3, 1e-3, 0.25, 1e-3, 2.0, 2.0}) {
+        double target_si = hs + p * cfg.thermal.r_silicon;
+        double target_hs = cfg.thermal.ambient + p * cfg.thermal.r_heatsink;
+        si += (1.0 - std::exp(-dt / cfg.thermal.tau_silicon)) *
+              (target_si - si);
+        hs += (1.0 - std::exp(-dt / cfg.thermal.tau_heatsink)) *
+              (target_hs - hs);
+        tm.step(p, dt);
+        EXPECT_EQ(tm.hotspot(), si);
+        EXPECT_EQ(tm.heatsink(), hs);
+    }
 }
 
 TEST(Thermal, ResetRestoresAmbient)
@@ -183,6 +222,58 @@ TEST(Workload, SpecCopiesIndependent)
     w.retire(0, 1e9);
     // One copy done: it leaves the runnable set immediately.
     EXPECT_EQ(w.numRunnableThreads(), 7u);
+}
+
+TEST(Workload, RunnableIndexTracksCompletions)
+{
+    // Two instances; dense indices run instance-major over threads
+    // with work left, and shift down as threads finish.
+    Workload w({AppCatalog::getWithThreads("mcf", 3),
+                AppCatalog::getWithThreads("gamess", 2)});
+    ASSERT_EQ(w.numInstances(), 2u);
+    ASSERT_EQ(w.numRunnableThreads(), 5u);
+    EXPECT_EQ(w.threadInfo(2).instance, 0u);
+    EXPECT_EQ(w.threadInfo(3).instance, 1u);
+    w.retire(1, 1e9);  // an mcf copy completes
+    EXPECT_EQ(w.numRunnableThreads(), 4u);
+    EXPECT_EQ(w.threadInfo(1).instance, 0u);
+    EXPECT_EQ(w.threadInfo(2).instance, 1u);
+    EXPECT_THROW(w.threadInfo(4), std::out_of_range);
+    EXPECT_THROW(w.retire(4, 1.0), std::out_of_range);
+}
+
+TEST(Workload, RetireRejectsNegativeAndNanWork)
+{
+    Workload w(AppCatalog::get("mcf"));
+    EXPECT_THROW(w.retire(0, -1.0), std::invalid_argument);
+    EXPECT_THROW(w.retire(0, std::nan("")), std::invalid_argument);
+    EXPECT_EQ(w.numRunnableThreads(), 8u);
+}
+
+TEST(Workload, LoadRebuildsRunnableIndex)
+{
+    Workload a({AppCatalog::getWithThreads("blackscholes", 4),
+                AppCatalog::getWithThreads("mcf", 4)});
+    a.retire(0, 1e9);  // blackscholes serial phase -> 4 threads
+    a.retire(2, 1e9);  // one parallel thread waits at the barrier
+    a.retire(5, 1e9);  // one mcf copy completes
+    a.retire(0, 3.0);
+    ASSERT_EQ(a.numRunnableThreads(), 6u);
+
+    obs::StateWriter wr;
+    a.save(wr);
+    Workload b({AppCatalog::getWithThreads("blackscholes", 4),
+                AppCatalog::getWithThreads("mcf", 4)});
+    obs::StateReader rd(wr.dump());
+    b.load(rd);
+    ASSERT_EQ(b.numRunnableThreads(), a.numRunnableThreads());
+    for (std::size_t i = 0; i < a.numRunnableThreads(); ++i) {
+        EXPECT_EQ(b.threadInfo(i).instance, a.threadInfo(i).instance);
+        EXPECT_EQ(b.threadInfo(i).mem_boundness,
+                  a.threadInfo(i).mem_boundness);
+    }
+    EXPECT_EQ(b.workRemaining(), a.workRemaining());
+    EXPECT_EQ(b.placementVersion(), a.placementVersion());
 }
 
 TEST(Workload, WorkRemainingDecreases)
@@ -347,7 +438,7 @@ TEST(Tmu, PowerEmergencyCapsFrequency)
     // Sustained 5 W on the big cluster (over 1.15 * 3.3).
     EmergencyCaps caps;
     for (int i = 0; i < 1200; ++i) {
-        caps = tmu.step(1e-3, 60.0, 5.0, 0.1, 2.0, 1.4);
+        caps = tmu.step(1e-3, 60.0, 5.0, 0.1);
     }
     EXPECT_TRUE(caps.active);
     EXPECT_LT(caps.freq_cap_big, 2.0);
@@ -361,7 +452,7 @@ TEST(Tmu, ThermalEmergencyActsFasterAndHotplugs)
     Tmu tmu(cfg.tmu, cfg, big, little);
     EmergencyCaps caps;
     for (int i = 0; i < 500; ++i) {
-        caps = tmu.step(1e-3, 97.0, 2.0, 0.1, 2.0, 1.4);
+        caps = tmu.step(1e-3, 97.0, 2.0, 0.1);
     }
     EXPECT_TRUE(caps.active);
     EXPECT_LT(caps.max_big_cores, 4u);
@@ -374,7 +465,7 @@ TEST(Tmu, ReleasesWithHysteresis)
     DvfsTable little(cfg.little);
     Tmu tmu(cfg.tmu, cfg, big, little);
     for (int i = 0; i < 1000; ++i) {
-        tmu.step(1e-3, 60.0, 5.0, 0.1, 2.0, 1.4);
+        tmu.step(1e-3, 60.0, 5.0, 0.1);
     }
     EXPECT_TRUE(tmu.caps().active);
     // Calm conditions: caps recover step by step, but only after the
@@ -383,7 +474,7 @@ TEST(Tmu, ReleasesWithHysteresis)
     // Full recovery from the deep cap needs cooldown (5 s) plus one
     // release period (0.8 s) per DVFS level.
     for (int i = 0; i < 25000; ++i) {
-        caps = tmu.step(1e-3, 50.0, 1.0, 0.05, caps.freq_cap_big, 1.4);
+        caps = tmu.step(1e-3, 50.0, 1.0, 0.05);
     }
     EXPECT_FALSE(caps.active);
     EXPECT_GT(tmu.emergencyTime(), 0.0);
