@@ -6,8 +6,10 @@
 #   3. contracts build (-DYUKTA_CHECKS=ON -DYUKTA_WERROR=ON) + full
 #      ctest with every YUKTA_REQUIRE / YUKTA_ENSURE / CHECK_FINITE
 #      active,
-#   4. runner tests again under ThreadSanitizer (and, optionally, the
-#      whole suite under ASan/UBSan with YUKTA_CI_ASAN=1),
+#   4. the threaded tests again under ThreadSanitizer -- runner pool,
+#      fleet shard phase, parallel mu sweep and concurrent layer
+#      design -- (and, optionally, the whole suite under ASan/UBSan
+#      with YUKTA_CI_ASAN=1),
 #   5. optionally (YUKTA_CI_COVERAGE=1, the GitHub coverage job sets
 #      it), a -DYUKTA_COVERAGE=ON build + ctest and the gcov
 #      line-coverage floor on src/controllers + src/fault.
@@ -125,7 +127,7 @@ echo "=== fault matrix: supervised vs unsupervised smoke ==="
 # constraint-violation time in every fault scenario.
 ./build-checks/bench/bench_faults --quick
 
-echo "=== runner + fleet tests under ThreadSanitizer ==="
+echo "=== threaded tests under ThreadSanitizer ==="
 # Availability-gated: probe whether this toolchain can link TSan
 # before committing to the build (some containers ship a compiler
 # without libtsan).
@@ -135,7 +137,8 @@ if echo 'int main() { return 0; }' \
     rm -f "$TSAN_PROBE"
     cmake -B build-tsan -S . -DYUKTA_SANITIZE=thread \
           -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
-    cmake --build build-tsan -j "$JOBS" --target test_runner test_fleet
+    cmake --build build-tsan -j "$JOBS" \
+          --target test_runner test_fleet test_robust test_core test_linalg
     # halt_on_error so a reported race fails CI instead of scrolling by.
     TSAN_OPTIONS="halt_on_error=1" \
         ctest --test-dir build-tsan -R '^test_runner$' --output-on-failure
@@ -145,6 +148,15 @@ if echo 'int main() { return 0; }' \
     TSAN_OPTIONS="halt_on_error=1" \
         ./build-tsan/tests/test_fleet \
         --gtest_filter='Fleet.RunIsBitIdenticalForAnyWorkerCount'
+    # The design flow's threads: the mu sweep's grid-point workers
+    # (inside every D-K round), sigma_max as they call it, and the HW
+    # and OS layers designed concurrently into one cache directory.
+    TSAN_OPTIONS="halt_on_error=1" \
+        ./build-tsan/tests/test_robust --gtest_filter='Mu.*:DkPin.*'
+    TSAN_OPTIONS="halt_on_error=1" \
+        ./build-tsan/tests/test_linalg --gtest_filter='Svd.*'
+    TSAN_OPTIONS="halt_on_error=1" \
+        ./build-tsan/tests/test_core --gtest_filter='ParallelDesign.*'
 else
     rm -f "$TSAN_PROBE"
     echo "=== ThreadSanitizer unavailable on this toolchain; skipping ==="

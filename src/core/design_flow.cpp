@@ -39,6 +39,39 @@ dropExternalColumns(const sysid::IoData& data, std::size_t num_external)
 
 }  // namespace
 
+robust::SsvSpec
+ssvSpecFor(const LayerSpec& spec, const sysid::ArxModel& model,
+           std::size_t num_external, const robust::DkOptions& dk)
+{
+    robust::SsvSpec ssv;
+    ssv.model = model.toStateSpace();
+    ssv.num_inputs = spec.inputs.size();
+    ssv.num_external = num_external;
+    for (const SignalSpec& in : spec.inputs) {
+        ssv.in_min.push_back(in.min);
+        ssv.in_max.push_back(in.max);
+        ssv.in_step.push_back(in.step);
+        ssv.in_weight.push_back(in.weight);
+    }
+    ssv.perf_dc_boost = spec.perf_boost;
+    for (const OutputSpec& out : spec.outputs) {
+        ssv.out_bound.push_back(out.bound());
+        ssv.out_range.push_back(out.range);
+        // Critical outputs (powers/temperature) keep their declared
+        // bound as-is: their bounds already sit near the actuator
+        // quantization, and extra DC demand is infeasible.
+        ssv.out_boost.push_back(out.critical ? 1.0 : ssv.perf_dc_boost);
+    }
+    ssv.guardband = spec.guardband;
+    ssv.max_order = spec.max_order;
+    // Moderate closed-loop bandwidth: the 500 ms loop with ~300 ms
+    // sensor latency cannot support corners near Nyquist.
+    ssv.perf_corner = 1.2;
+    ssv.unc_corner = 3.0;
+    ssv.dk = dk;
+    return ssv;
+}
+
 std::optional<LayerDesign>
 designSsvLayer(const LayerSpec& spec, const sysid::IoData& data,
                std::size_t num_external, const DesignOptions& options)
@@ -72,34 +105,8 @@ designSsvLayer(const LayerSpec& spec, const sysid::IoData& data,
     }
 
     // Step 4: mu-synthesis from the spec.
-    robust::SsvSpec ssv;
-    ssv.model = design.model.toStateSpace();
-    ssv.num_inputs = spec.inputs.size();
-    ssv.num_external = num_external;
-    for (const SignalSpec& in : spec.inputs) {
-        ssv.in_min.push_back(in.min);
-        ssv.in_max.push_back(in.max);
-        ssv.in_step.push_back(in.step);
-        ssv.in_weight.push_back(in.weight);
-    }
-    ssv.perf_dc_boost = spec.perf_boost;
-    for (const OutputSpec& out : spec.outputs) {
-        ssv.out_bound.push_back(out.bound());
-        ssv.out_range.push_back(out.range);
-        // Critical outputs (powers/temperature) keep their declared
-        // bound as-is: their bounds already sit near the actuator
-        // quantization, and extra DC demand is infeasible.
-        ssv.out_boost.push_back(out.critical ? 1.0 : ssv.perf_dc_boost);
-    }
-    ssv.guardband = spec.guardband;
-    ssv.max_order = spec.max_order;
-    // Moderate closed-loop bandwidth: the 500 ms loop with ~300 ms
-    // sensor latency cannot support corners near Nyquist.
-    ssv.perf_corner = 1.2;
-    ssv.unc_corner = 3.0;
-    ssv.dk = options.dk;
-
-    auto ctrl = robust::ssvSynthesize(ssv);
+    auto ctrl = robust::ssvSynthesize(
+        ssvSpecFor(spec, design.model, num_external, options.dk));
     if (!ctrl) {
         return std::nullopt;
     }

@@ -46,6 +46,17 @@ struct DesignOptions
 };
 
 /**
+ * The mu-synthesis problem of one layer (Step 4 of Fig. 3): the
+ * identified @p model under the spec's input grids and weights, output
+ * bounds, guardband and order cap, with @p num_external trailing
+ * external-signal inputs.
+ */
+robust::SsvSpec ssvSpecFor(const LayerSpec& spec,
+                           const sysid::ArxModel& model,
+                           std::size_t num_external,
+                           const robust::DkOptions& dk);
+
+/**
  * Designs one layer's SSV controller from its spec and records.
  *
  * @param spec the layer's declaration.

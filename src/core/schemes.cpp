@@ -1,5 +1,6 @@
 #include "core/schemes.h"
 
+#include <future>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -79,19 +80,26 @@ buildArtifacts(const platform::BoardConfig& cfg,
         softwareLayerSpec(art.training.os_ranges, options.os_guardband,
                           options.os_bound, options.os_input_weight);
 
+    // The two layers share no state and write distinct cache files, so
+    // the OS design runs on its own thread while this one designs HW.
+    // Errors surface in the serial order, HW first: an std::async
+    // future waits for its thread in its destructor, so a HW throw
+    // still joins the OS design, and its outcome is read only after.
     DesignOptions hw_opts;
     hw_opts.dk = options.dk;
     hw_opts.cache_key = keyFor(options, "hwssv");
+    DesignOptions os_opts;
+    os_opts.dk = options.dk;
+    os_opts.cache_key = keyFor(options, "osssv");
+    auto os_job = std::async(std::launch::async, [&] {
+        return designSsvLayer(os_spec, art.training.os, 4, os_opts);
+    });
     auto hw = designSsvLayer(hw_spec, art.training.hw, 3, hw_opts);
     if (!hw) {
         throw std::runtime_error("buildArtifacts: HW SSV synthesis failed");
     }
     art.hw_ssv = std::move(*hw);
-
-    DesignOptions os_opts;
-    os_opts.dk = options.dk;
-    os_opts.cache_key = keyFor(options, "osssv");
-    auto os = designSsvLayer(os_spec, art.training.os, 4, os_opts);
+    auto os = os_job.get();
     if (!os) {
         throw std::runtime_error("buildArtifacts: OS SSV synthesis failed");
     }

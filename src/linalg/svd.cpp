@@ -12,18 +12,17 @@ namespace yukta::linalg {
 namespace {
 
 /**
- * One-sided Jacobi SVD on a matrix with rows >= cols. Columns of the
- * working copy are rotated until pairwise orthogonal; the rotations
- * are accumulated into V.
+ * One-sided Jacobi sweeps on @p w (rows >= cols): columns are rotated
+ * until pairwise orthogonal, after which the singular values are the
+ * column norms. The rotations are accumulated into @p v when it is
+ * non-null; they never read it, so @p w ends bitwise the same either
+ * way.
  */
-CSvd
-jacobiSvdTall(const CMatrix& a)
+void
+jacobiRotate(CMatrix& w, CMatrix* v)
 {
-    std::size_t m = a.rows();
-    std::size_t n = a.cols();
-    CMatrix w = a;
-    CMatrix v = CMatrix::identity(n);
-
+    std::size_t m = w.rows();
+    std::size_t n = w.cols();
     const int max_sweeps = 60;
     const double tol = 1e-14;
     for (int sweep = 0; sweep < max_sweeps; ++sweep) {
@@ -63,11 +62,14 @@ jacobiSvdTall(const CMatrix& a)
                     w(i, p) = c * wp - sp * wq;
                     w(i, q) = sq * wp + c * wq;
                 }
+                if (v == nullptr) {
+                    continue;
+                }
                 for (std::size_t i = 0; i < n; ++i) {
-                    Complex vp = v(i, p);
-                    Complex vq = v(i, q);
-                    v(i, p) = c * vp - sp * vq;
-                    v(i, q) = sq * vp + c * vq;
+                    Complex vp = (*v)(i, p);
+                    Complex vq = (*v)(i, q);
+                    (*v)(i, p) = c * vp - sp * vq;
+                    (*v)(i, q) = sq * vp + c * vq;
                 }
             }
         }
@@ -75,6 +77,31 @@ jacobiSvdTall(const CMatrix& a)
             break;
         }
     }
+}
+
+/** @return the Euclidean norm of column @p j of @p w. */
+double
+columnNorm(const CMatrix& w, std::size_t j)
+{
+    double nn = 0.0;
+    for (std::size_t i = 0; i < w.rows(); ++i) {
+        nn += std::norm(w(i, j));
+    }
+    return std::sqrt(nn);
+}
+
+/**
+ * One-sided Jacobi SVD on a matrix with rows >= cols: the rotated
+ * columns give U and the singular values, the accumulated rotations V.
+ */
+CSvd
+jacobiSvdTall(const CMatrix& a)
+{
+    std::size_t m = a.rows();
+    std::size_t n = a.cols();
+    CMatrix w = a;
+    CMatrix v = CMatrix::identity(n);
+    jacobiRotate(w, &v);
 
     // Singular values = column norms; U = normalized columns.
     CSvd out;
@@ -85,11 +112,7 @@ jacobiSvdTall(const CMatrix& a)
     std::iota(order.begin(), order.end(), std::size_t{0});
     std::vector<double> norms(n);
     for (std::size_t j = 0; j < n; ++j) {
-        double nn = 0.0;
-        for (std::size_t i = 0; i < m; ++i) {
-            nn += std::norm(w(i, j));
-        }
-        norms[j] = std::sqrt(nn);
+        norms[j] = columnNorm(w, j);
     }
     std::sort(order.begin(), order.end(), [&](std::size_t i, std::size_t j) {
         return norms[i] > norms[j];
@@ -147,8 +170,22 @@ sigmaMax(const CMatrix& a)
     if (a.empty()) {
         return 0.0;
     }
-    CSvd d = svd(a);
-    return d.s.empty() ? 0.0 : d.s.front();
+    YUKTA_CHECK_FINITE(a, "svd: non-finite ", a.rows(), "x", a.cols(),
+                       " input");
+    // The same sweeps as svd() on the same working copy, without V, U
+    // or the sort: the value is bitwise svd(a).s.front(). On finite
+    // norms the strict > scan picks the value the descending sort puts
+    // first.
+    CMatrix w = a.rows() >= a.cols() ? a : a.adjoint();
+    jacobiRotate(w, nullptr);
+    double best = columnNorm(w, 0);
+    for (std::size_t j = 1; j < w.cols(); ++j) {
+        const double nj = columnNorm(w, j);
+        if (nj > best) {
+            best = nj;
+        }
+    }
+    return best;
 }
 
 double

@@ -1,5 +1,6 @@
 #include "platform/workload.h"
 
+#include <cstdint>
 #include <stdexcept>
 
 namespace yukta::platform {
@@ -223,13 +224,34 @@ Workload::load(obs::StateReader& r)
     for (std::size_t i = 0; i < instances_.size(); ++i) {
         Instance& inst = instances_[i];
         const std::string p = "workload.i" + std::to_string(i);
-        inst.phase = r.u64(p + ".phase");
-        inst.finished = r.boolean(p + ".finished");
-        inst.threads.resize(r.u64(p + ".threads"));
+        const std::uint64_t phase = r.u64(p + ".phase");
+        const bool finished = r.boolean(p + ".finished");
+        const std::uint64_t threads = r.u64(p + ".threads");
+        // The shape must be one the workload itself could reach: a
+        // phase of this app, the phase's thread count while running,
+        // no threads once finished. This also bounds the allocation.
+        if (phase >= inst.app.phases.size()) {
+            throw std::runtime_error("Workload::load: " + p +
+                                     " phase past the app's phases");
+        }
+        const std::uint64_t expected =
+            finished ? 0 : inst.app.phases[phase].num_threads;
+        if (threads != expected) {
+            throw std::runtime_error("Workload::load: " + p +
+                                     " thread count does not match its "
+                                     "phase");
+        }
+        inst.phase = phase;
+        inst.finished = finished;
+        inst.threads.resize(threads);
         for (std::size_t t = 0; t < inst.threads.size(); ++t) {
             const std::string tp = p + ".t" + std::to_string(t);
             inst.threads[t].remaining = r.f64(tp + ".remaining");
             inst.threads[t].at_barrier = r.boolean(tp + ".at_barrier");
+            if (!(inst.threads[t].remaining >= 0.0)) {
+                throw std::runtime_error("Workload::load: " + tp +
+                                         " remaining is negative or NaN");
+            }
         }
     }
     version_ = r.u64("workload.version");

@@ -1,7 +1,10 @@
 #include "robust/mu.h"
 
+#include <algorithm>
 #include <cmath>
+#include <future>
 #include <stdexcept>
+#include <thread>
 
 #include "control/state_space.h"
 #include "core/contracts.h"
@@ -148,15 +151,35 @@ muFrequencySweep(const control::StateSpace& n, const BlockStructure& s,
         hi = 1e3;
     }
     out.freqs = control::logSpacedFrequencies(lo, hi, grid_points);
-    out.mu.reserve(grid_points);
     const std::vector<CMatrix> resp = n.freqResponseBatch(out.freqs);
+
+    // The grid points are independent: worker k evaluates the strided
+    // indices k, k + workers, ... into its own pre-sized slots. Each
+    // computeMu is the same call on the same input as a serial loop,
+    // and get() rethrows a worker's exception here with its type.
+    out.mu.resize(grid_points);
+    const std::size_t workers = std::clamp<std::size_t>(
+        std::thread::hardware_concurrency(), 1, grid_points);
+    std::vector<std::future<void>> jobs;
+    jobs.reserve(workers);
+    for (std::size_t k = 0; k < workers; ++k) {
+        jobs.push_back(std::async(std::launch::async, [&, k] {
+            for (std::size_t i = k; i < grid_points; i += workers) {
+                out.mu[i] = computeMu(resp[i], s);
+            }
+        }));
+    }
+    for (std::future<void>& job : jobs) {
+        job.get();
+    }
+
+    // Serial reduction in index order: the strict > keeps the first
+    // of equal peaks, as the serial loop did.
     for (std::size_t i = 0; i < grid_points; ++i) {
-        MuBound b = computeMu(resp[i], s);
-        if (b.upper > out.peak) {
-            out.peak = b.upper;
+        if (out.mu[i].upper > out.peak) {
+            out.peak = out.mu[i].upper;
             out.peak_freq = out.freqs[i];
         }
-        out.mu.push_back(std::move(b));
     }
     return out;
 }

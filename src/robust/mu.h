@@ -57,7 +57,10 @@ struct MuSweep
 
 /**
  * Sweeps mu of a (closed-loop) system N over a log frequency grid.
- * For discrete systems the grid spans (0, pi/Ts].
+ * For discrete systems the grid spans (0, pi/Ts]. The grid points are
+ * evaluated on up to std::thread::hardware_concurrency() threads; the
+ * result is bitwise that of a serial computeMu loop, and an exception
+ * from any point is rethrown in the caller's thread.
  *
  * @param n system whose input/output dimensions match the structure.
  * @param structure block structure.

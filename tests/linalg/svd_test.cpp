@@ -1,6 +1,8 @@
 #include "linalg/svd.h"
 
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -95,6 +97,42 @@ TEST(Svd, UnitaryInvarianceOfSigmaMax)
         u(i, i) = Complex(std::cos(th), std::sin(th));
     }
     EXPECT_NEAR(sigmaMax(u * a), sigmaMax(a), 1e-9);
+}
+
+TEST(Svd, SigmaMaxEqualsFullSvdBitwise)
+{
+    // sigmaMax runs svd()'s sweeps without V, U or the sort, so the
+    // value must be svd(a).s.front() to the last bit. Shapes: tall,
+    // wide, square, the 16x15 mu matrix of the HW layer and its
+    // transpose, and one past 16 columns (where std::sort stops being
+    // a pure insertion sort).
+    const std::pair<std::size_t, std::size_t> shapes[] = {
+        {1, 1}, {5, 3}, {3, 5}, {6, 6}, {16, 15}, {15, 16}, {20, 18}};
+    unsigned seed = 500;
+    for (const auto& [r, c] : shapes) {
+        for (int rep = 0; rep < 3; ++rep, ++seed) {
+            SCOPED_TRACE(std::to_string(r) + "x" + std::to_string(c) +
+                         " seed " + std::to_string(seed));
+            const CMatrix a = test::randomCMatrix(r, c, seed);
+            EXPECT_EQ(sigmaMax(a), svd(a).s.front());
+            const Matrix m = test::randomMatrix(r, c, seed);
+            EXPECT_EQ(sigmaMax(m), svd(m).s.front());
+        }
+    }
+
+    // Zero matrices: every rotation is skipped, the value is 0.
+    EXPECT_EQ(sigmaMax(CMatrix(4, 3)), 0.0);
+    EXPECT_EQ(sigmaMax(CMatrix(4, 3)), svd(CMatrix(4, 3)).s.front());
+    EXPECT_EQ(sigmaMax(Matrix(3, 5)), svd(Matrix(3, 5)).s.front());
+
+    // Rank one: u v^H, with several equal-zero singular values.
+    for (const auto& [r, c] : shapes) {
+        const CMatrix u = test::randomCMatrix(r, 1, seed++);
+        const CMatrix v = test::randomCMatrix(1, c, seed++);
+        const CMatrix a = u * v;
+        EXPECT_EQ(sigmaMax(a), svd(a).s.front())
+            << r << "x" << c << " rank one";
+    }
 }
 
 TEST(Pinv, LeftInverseOfFullColumnRank)

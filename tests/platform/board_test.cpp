@@ -1,6 +1,7 @@
 #include "platform/board.h"
 
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -289,6 +290,115 @@ TEST(Board, LoadRejectsThreadOnMissingCore)
     Board fresh = makeBoard("gamess");
     obs::StateReader r(bytes);
     EXPECT_THROW(fresh.load(r), std::runtime_error);
+}
+
+/** One instance's workload fields, in the shape Workload::save writes. */
+struct InstanceImage
+{
+    std::uint64_t phase = 0;
+    bool finished = false;
+    std::uint64_t threads = 0;
+    std::vector<double> remaining;  ///< Written for each thread.
+};
+
+/**
+ * @p bytes (a one-instance board snapshot) with its workload fields
+ * rewritten to @p inst through a StateWriter: the snapshot stays
+ * well-formed, so only Workload::load's own checks can reject it.
+ */
+std::string
+withWorkload(const std::string& bytes, const InstanceImage& inst)
+{
+    obs::StateWriter w;
+    w.u64("workload.instances", 1);
+    w.u64("workload.i0.phase", inst.phase);
+    w.boolean("workload.i0.finished", inst.finished);
+    w.u64("workload.i0.threads", inst.threads);
+    for (std::size_t t = 0; t < inst.remaining.size(); ++t) {
+        const std::string tp = "workload.i0.t" + std::to_string(t);
+        w.f64(tp + ".remaining", inst.remaining[t]);
+        w.boolean(tp + ".at_barrier", false);
+    }
+    const std::size_t from = bytes.find("workload.instances=");
+    const std::size_t to = bytes.find("workload.version=");
+    EXPECT_NE(from, std::string::npos);
+    EXPECT_NE(to, std::string::npos);
+    return bytes.substr(0, from) + w.dump() + bytes.substr(to);
+}
+
+/** Loads @p bytes into a fresh blackscholes board; @return the error. */
+std::string
+loadError(const std::string& bytes)
+{
+    Board fresh = makeBoard();
+    obs::StateReader r(bytes);
+    try {
+        fresh.load(r);
+    } catch (const std::runtime_error& e) {
+        return e.what();
+    }
+    return "";
+}
+
+/** A blackscholes snapshot in its first (serial, one-thread) phase. */
+std::string
+serialPhaseBytes()
+{
+    Board b = makeBoard();
+    b.run(0.01);
+    return boardBytes(b);
+}
+
+TEST(Board, LoadAcceptsAWellFormedWorkloadImage)
+{
+    // The rewrite itself keeps a reachable state loadable, so the
+    // rejections below are the checks' doing.
+    const std::string bytes = serialPhaseBytes();
+    EXPECT_EQ(loadError(withWorkload(bytes, {0, false, 1, {5.0}})), "");
+    // blackscholes' last phase, finished: no threads.
+    EXPECT_EQ(loadError(withWorkload(bytes, {1, true, 0, {}})), "");
+}
+
+TEST(Board, LoadRejectsPhasePastTheApp)
+{
+    // blackscholes has two phases; phase 7 would index past them on
+    // the next threadInfo().
+    const std::string err =
+        loadError(withWorkload(serialPhaseBytes(), {7, false, 1, {5.0}}));
+    EXPECT_NE(err.find("phase past"), std::string::npos) << err;
+}
+
+TEST(Board, LoadRejectsThreadCountOffThePhase)
+{
+    const std::string err =
+        loadError(withWorkload(serialPhaseBytes(), {0, false, 3,
+                                                    {5.0, 5.0, 5.0}}));
+    EXPECT_NE(err.find("thread count"), std::string::npos) << err;
+}
+
+TEST(Board, LoadRejectsHugeThreadCountBeforeAllocating)
+{
+    // Rejected from the count alone: no 2^62-entry resize is tried.
+    const std::string err = loadError(
+        withWorkload(serialPhaseBytes(), {0, false, 1ULL << 62, {}}));
+    EXPECT_NE(err.find("thread count"), std::string::npos) << err;
+}
+
+TEST(Board, LoadRejectsFinishedInstanceWithThreads)
+{
+    const std::string err =
+        loadError(withWorkload(serialPhaseBytes(), {1, true, 1, {0.0}}));
+    EXPECT_NE(err.find("thread count"), std::string::npos) << err;
+}
+
+TEST(Board, LoadRejectsNanOrNegativeRemaining)
+{
+    for (double bad : {std::nan(""), -1.0}) {
+        const std::string err =
+            loadError(withWorkload(serialPhaseBytes(), {0, false, 1, {bad}}));
+        EXPECT_NE(err.find("remaining"), std::string::npos)
+            << bad << ": " << err;
+    }
 }
 
 TEST(Board, BarrierGroupsStayPerInstancePastSixteen)
