@@ -32,12 +32,39 @@ writeMatrix(std::ostream& os, const Matrix& m)
     }
 }
 
+/**
+ * @return the bytes left to read in @p is (0 when its position is
+ * unknown). Every value in a cache file takes at least one byte, so a
+ * count larger than this comes from a corrupt file, and sizing a
+ * buffer by it would only crash or exhaust memory.
+ */
+std::size_t
+bytesLeft(std::istream& is)
+{
+    const std::istream::pos_type here = is.tellg();
+    if (here < 0) {
+        return 0;
+    }
+    is.seekg(0, std::ios::end);
+    const std::istream::pos_type end = is.tellg();
+    is.seekg(here);
+    return end > here ? static_cast<std::size_t>(end - here) : 0;
+}
+
+/** Reads a value count, rejecting one the remaining text cannot hold. */
+bool
+readCount(std::istream& is, std::size_t& n)
+{
+    return static_cast<bool>(is >> n) && n <= bytesLeft(is);
+}
+
 bool
 readMatrix(std::istream& is, Matrix& m)
 {
     std::size_t rows = 0;
     std::size_t cols = 0;
-    if (!(is >> rows >> cols)) {
+    // rows * cols is bounded without forming it, so it cannot wrap.
+    if (!(is >> rows >> cols) || (cols != 0 && rows > bytesLeft(is) / cols)) {
         return false;
     }
     m = Matrix(rows, cols);
@@ -194,7 +221,7 @@ ssvControllerFromText(const std::string& text)
     std::size_t nb = 0;
     if (!(is >> ctrl.mu_peak >> ctrl.min_s >> ctrl.gamma >>
           ctrl.dk_iterations) ||
-        !(is >> ndb)) {
+        !readCount(is, ndb)) {
         return std::nullopt;
     }
     ctrl.design_bounds.resize(ndb);
@@ -203,7 +230,7 @@ ssvControllerFromText(const std::string& text)
             return std::nullopt;
         }
     }
-    if (!(is >> nb)) {
+    if (!readCount(is, nb)) {
         return std::nullopt;
     }
     ctrl.guaranteed_bounds.resize(nb);

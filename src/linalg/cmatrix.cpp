@@ -9,7 +9,8 @@
 namespace yukta::linalg {
 
 CMatrix::CMatrix(std::size_t rows, std::size_t cols, Complex fill)
-    : rows_(rows), cols_(cols), data_(rows * cols, fill)
+    : rows_(rows), cols_(cols),
+      data_(elementCount(rows, cols, "CMatrix"), fill)
 {
 }
 
@@ -54,22 +55,6 @@ CMatrix::diag(const std::vector<double>& d)
         m(i, i) = Complex(d[i], 0.0);
     }
     return m;
-}
-
-Complex&
-CMatrix::operator()(std::size_t r, std::size_t c)
-{
-    YUKTA_REQUIRE(r < rows_ && c < cols_, "CMatrix(", rows_, "x", cols_,
-                  ") index (", r, ",", c, ")");
-    return data_[r * cols_ + c];
-}
-
-Complex
-CMatrix::operator()(std::size_t r, std::size_t c) const
-{
-    YUKTA_REQUIRE(r < rows_ && c < cols_, "CMatrix(", rows_, "x", cols_,
-                  ") index (", r, ",", c, ")");
-    return data_[r * cols_ + c];
 }
 
 CMatrix&

@@ -12,6 +12,7 @@
 #include <initializer_list>
 #include <vector>
 
+#include "core/contracts.h"
 #include "linalg/matrix.h"
 
 namespace yukta::linalg {
@@ -24,7 +25,10 @@ class CMatrix
   public:
     CMatrix() = default;
 
-    /** Creates a rows x cols matrix filled with @p fill. */
+    /**
+     * Creates a rows x cols matrix filled with @p fill.
+     * @throws std::length_error when rows * cols overflows size_t.
+     */
     CMatrix(std::size_t rows, std::size_t cols, Complex fill = {});
 
     /** Creates a matrix from nested initializer lists (row major). */
@@ -45,8 +49,22 @@ class CMatrix
     bool empty() const { return rows_ == 0 || cols_ == 0; }
     bool isSquare() const { return rows_ == cols_; }
 
-    Complex& operator()(std::size_t r, std::size_t c);
-    Complex operator()(std::size_t r, std::size_t c) const;
+    /**
+     * Element access, bounds-checked under YUKTA_CHECKS like
+     * Matrix::operator() and inline for the same reason.
+     */
+    Complex& operator()(std::size_t r, std::size_t c)
+    {
+        YUKTA_REQUIRE(r < rows_ && c < cols_, "CMatrix(", rows_, "x", cols_,
+                      ") index (", r, ",", c, ")");
+        return data_[r * cols_ + c];
+    }
+    Complex operator()(std::size_t r, std::size_t c) const
+    {
+        YUKTA_REQUIRE(r < rows_ && c < cols_, "CMatrix(", rows_, "x", cols_,
+                      ") index (", r, ",", c, ")");
+        return data_[r * cols_ + c];
+    }
 
     /** @return pointer to the contiguous row-major storage. */
     Complex* data() { return data_.data(); }

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <iomanip>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -12,8 +13,21 @@
 
 namespace yukta::linalg {
 
+std::size_t
+elementCount(std::size_t rows, std::size_t cols, const char* what)
+{
+    if (cols != 0 && rows > std::numeric_limits<std::size_t>::max() / cols) {
+        throw std::length_error(std::string(what) + "(" +
+                                std::to_string(rows) + "x" +
+                                std::to_string(cols) +
+                                "): element count overflows size_t");
+    }
+    return rows * cols;
+}
+
 Matrix::Matrix(std::size_t rows, std::size_t cols, double fill)
-    : rows_(rows), cols_(cols), data_(rows * cols, fill)
+    : rows_(rows), cols_(cols),
+      data_(elementCount(rows, cols, "Matrix"), fill)
 {
 }
 
@@ -60,22 +74,6 @@ Matrix::diag(const std::vector<double>& d)
         m(i, i) = d[i];
     }
     return m;
-}
-
-double&
-Matrix::operator()(std::size_t r, std::size_t c)
-{
-    YUKTA_REQUIRE(r < rows_ && c < cols_, "Matrix(", rows_, "x", cols_,
-                  ") index (", r, ",", c, ")");
-    return data_[r * cols_ + c];
-}
-
-double
-Matrix::operator()(std::size_t r, std::size_t c) const
-{
-    YUKTA_REQUIRE(r < rows_ && c < cols_, "Matrix(", rows_, "x", cols_,
-                  ") index (", r, ",", c, ")");
-    return data_[r * cols_ + c];
 }
 
 Matrix&

@@ -16,9 +16,19 @@
 #include <string>
 #include <vector>
 
+#include "core/contracts.h"
+
 namespace yukta::linalg {
 
 class Vector;
+
+/**
+ * @return rows * cols, the buffer size of a rows x cols matrix.
+ * @throws std::length_error when the product overflows size_t (@p what
+ *   names the matrix type in the message).
+ */
+std::size_t elementCount(std::size_t rows, std::size_t cols,
+                         const char* what);
 
 /** Dense, row-major matrix of doubles. */
 class Matrix
@@ -27,7 +37,10 @@ class Matrix
     /** Creates an empty 0x0 matrix. */
     Matrix() = default;
 
-    /** Creates a rows x cols matrix filled with @p fill. */
+    /**
+     * Creates a rows x cols matrix filled with @p fill.
+     * @throws std::length_error when rows * cols overflows size_t.
+     */
     Matrix(std::size_t rows, std::size_t cols, double fill = 0.0);
 
     /**
@@ -64,9 +77,24 @@ class Matrix
      * Element access. Bounds-checked under YUKTA_CHECKS: out-of-range
      * access throws a ContractViolation naming the shape, e.g.
      * `Matrix(4x3) index (5,1)`.
+     *
+     * Defined here, not in matrix.cpp: every kernel's inner loop goes
+     * through these, and only an inline body lets the compiler hoist
+     * and schedule those loops (DESIGN.md §10, "Header-inline element
+     * access").
      */
-    double& operator()(std::size_t r, std::size_t c);
-    double operator()(std::size_t r, std::size_t c) const;
+    double& operator()(std::size_t r, std::size_t c)
+    {
+        YUKTA_REQUIRE(r < rows_ && c < cols_, "Matrix(", rows_, "x", cols_,
+                      ") index (", r, ",", c, ")");
+        return data_[r * cols_ + c];
+    }
+    double operator()(std::size_t r, std::size_t c) const
+    {
+        YUKTA_REQUIRE(r < rows_ && c < cols_, "Matrix(", rows_, "x", cols_,
+                      ") index (", r, ",", c, ")");
+        return data_[r * cols_ + c];
+    }
 
     /** @return pointer to the contiguous row-major storage. */
     double* data() { return data_.data(); }

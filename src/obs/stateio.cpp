@@ -237,9 +237,20 @@ std::string StateReader::str(const std::string& key)
     return percentDecode(take(key));
 }
 
-std::vector<double> StateReader::f64vec(const std::string& key)
+std::uint64_t StateReader::count(const std::string& key)
 {
     const std::uint64_t n = u64(key + ".n");
+    if (n > fields_.size() - next_) {
+        failKey(key + ".n", "count " + std::to_string(n) + " exceeds the " +
+                                std::to_string(fields_.size() - next_) +
+                                " fields left");
+    }
+    return n;
+}
+
+std::vector<double> StateReader::f64vec(const std::string& key)
+{
+    const std::uint64_t n = count(key);
     std::vector<double> out;
     out.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {
@@ -250,7 +261,7 @@ std::vector<double> StateReader::f64vec(const std::string& key)
 
 std::vector<long long> StateReader::i64vec(const std::string& key)
 {
-    const std::uint64_t n = u64(key + ".n");
+    const std::uint64_t n = count(key);
     std::vector<long long> out;
     out.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {
@@ -261,7 +272,7 @@ std::vector<long long> StateReader::i64vec(const std::string& key)
 
 std::vector<std::uint64_t> StateReader::u64vec(const std::string& key)
 {
-    const std::uint64_t n = u64(key + ".n");
+    const std::uint64_t n = count(key);
     std::vector<std::uint64_t> out;
     out.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {

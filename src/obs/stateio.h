@@ -137,6 +137,10 @@ class StateReader
     std::size_t next_ = 0;
 
     const std::string& take(const std::string& key);
+
+    /** Reads a vector's `.n` field, bounded by the fields left. */
+    std::uint64_t count(const std::string& key);
+
     [[noreturn]] void failKey(const std::string& key,
                               const std::string& why) const;
 };

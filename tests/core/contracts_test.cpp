@@ -14,6 +14,7 @@
 
 #include "controllers/ssv_runtime.h"
 #include "core/contracts.h"
+#include "linalg/cmatrix.h"
 #include "linalg/lu.h"
 #include "linalg/matrix.h"
 #include "linalg/vector.h"
@@ -118,6 +119,20 @@ TEST(ContractsOn, MatrixIndexNamesShape)
     }
     const linalg::Matrix& cm = m;
     EXPECT_THROW((void)cm(0, 3), contracts::ContractViolation);
+}
+
+TEST(ContractsOn, CMatrixIndexNamesShape)
+{
+    linalg::CMatrix m(2, 5);
+    try {
+        (void)m(1, 5);
+        FAIL() << "out-of-range access did not throw";
+    } catch (const contracts::ContractViolation& e) {
+        EXPECT_NE(std::string(e.what()).find("CMatrix(2x5) index (1,5)"),
+                  std::string::npos);
+    }
+    const linalg::CMatrix& cm = m;
+    EXPECT_THROW((void)cm(2, 0), contracts::ContractViolation);
 }
 
 TEST(ContractsOn, MatrixProductMismatchThrows)

@@ -155,6 +155,82 @@ TEST(Cache, SsvControllerRoundTrip)
     std::remove(path.c_str());
 }
 
+/** @return @p text with its zero-based line @p index replaced. */
+std::string
+replaceLine(const std::string& text, std::size_t index,
+            const std::string& line)
+{
+    std::istringstream is(text);
+    std::ostringstream os;
+    std::string cur;
+    for (std::size_t i = 0; std::getline(is, cur); ++i) {
+        os << (i == index ? line : cur) << "\n";
+    }
+    return os.str();
+}
+
+/** The small controller of SsvControllerRoundTrip, as cache text. */
+std::string
+smallControllerText()
+{
+    robust::SsvController ctrl;
+    ctrl.k = control::StateSpace(linalg::Matrix{{0.5}},
+                                 linalg::Matrix{{1.0, 0.5}},
+                                 linalg::Matrix{{1.0}},
+                                 linalg::Matrix{{0.0, 0.0}}, 0.5);
+    ctrl.design_bounds = {0.5};
+    ctrl.guaranteed_bounds = {0.625};
+    return ssvControllerToText(ctrl);
+}
+
+TEST(Cache, ControllerTextLayoutIsWhatTheHostileCasesEdit)
+{
+    // Lines: magic, scalars, design bounds, guaranteed bounds, ts,
+    // then A's dims. The cases below overwrite lines 2 and 5.
+    const std::string text = smallControllerText();
+    EXPECT_TRUE(ssvControllerFromText(text).has_value());
+    EXPECT_EQ(replaceLine(text, 2, "1 0.5"), text);
+    EXPECT_EQ(replaceLine(text, 5, "1 1"), text);
+}
+
+TEST(Cache, WrappingMatrixDimsReadAsMiss)
+{
+    // 2^32 x 2^32 wraps to a zero-element product in size_t; the
+    // reader used to allocate that and write past it.
+    const std::string text =
+        replaceLine(smallControllerText(), 5, "4294967296 4294967296");
+    EXPECT_FALSE(ssvControllerFromText(text).has_value());
+    // Huge but non-wrapping dims: more values than the text holds.
+    EXPECT_FALSE(ssvControllerFromText(
+                     replaceLine(smallControllerText(), 5, "100000 100000"))
+                     .has_value());
+}
+
+TEST(Cache, HugeBoundCountReadsAsMiss)
+{
+    // A count the remaining text cannot hold must not size a buffer
+    // (std::bad_alloc used to escape here).
+    const std::string text =
+        replaceLine(smallControllerText(), 2, "99999999999 0.5");
+    EXPECT_FALSE(ssvControllerFromText(text).has_value());
+    EXPECT_FALSE(
+        ssvControllerFromText(
+            replaceLine(smallControllerText(), 2, "18446744073709551615 1"))
+            .has_value());
+}
+
+TEST(Cache, HostileStateSpaceFileReadsAsMiss)
+{
+    const std::string path = cachePath("test_ss_hostile");
+    ASSERT_TRUE(atomicWriteFile(
+        path, "yukta-ss 4\n0.5\n4294967296 4294967296\n0.5\n"));
+    EXPECT_FALSE(loadStateSpace(path).has_value());
+    ASSERT_TRUE(atomicWriteFile(path, "yukta-ss 4\n0.5\n1 1\n0.5\n"
+                                      "1 1\n1\n1 1\n1\n99999 99999\n"));
+    EXPECT_FALSE(loadStateSpace(path).has_value());
+    std::remove(path.c_str());
+}
+
 TEST_F(CoreFixture, ArtifactsCarryCertifiedControllers)
 {
     EXPECT_EQ(artifacts_->hw_ssv.controller.k.numOutputs(), 4u);

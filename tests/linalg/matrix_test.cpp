@@ -1,10 +1,12 @@
 #include "linalg/matrix.h"
 
+#include <cstddef>
 #include <sstream>
 #include <stdexcept>
 
 #include <gtest/gtest.h>
 
+#include "linalg/cmatrix.h"
 #include "linalg/test_util.h"
 
 namespace yukta::linalg {
@@ -40,6 +42,20 @@ TEST(Matrix, InitializerList)
 TEST(Matrix, RaggedInitializerThrows)
 {
     EXPECT_THROW((Matrix{{1.0, 2.0}, {3.0}}), std::invalid_argument);
+}
+
+TEST(Matrix, WrappingSizeThrowsLengthError)
+{
+    // 2^32 x 2^32 wraps rows * cols to 0 in a 64-bit size_t; the
+    // constructor must refuse it instead of allocating a tiny buffer
+    // behind a huge shape.
+    const std::size_t big = std::size_t{1} << 32;
+    EXPECT_THROW(Matrix(big, big), std::length_error);
+    EXPECT_THROW(CMatrix(big, big), std::length_error);
+    EXPECT_THROW(Matrix(big + 1, big), std::length_error);
+    // Degenerate shapes with a zero side stay legal.
+    EXPECT_EQ(Matrix(big, 0).rows(), big);
+    EXPECT_TRUE(CMatrix(0, big).empty());
 }
 
 TEST(Matrix, Identity)

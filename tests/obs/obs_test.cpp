@@ -1,9 +1,11 @@
 // Observability layer: canonical number rendering, trace event
 // serialization round trips, sink ordering/thread safety, the JSONL
 // and Chrome writers, the metrics registry, and the first-divergence
-// trace comparator the golden suite is built on.
+// trace comparator the golden suite is built on, and the checkpoint
+// reader's bounds on hostile vector counts.
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -13,6 +15,7 @@
 
 #include "obs/metrics.h"
 #include "obs/profile.h"
+#include "obs/stateio.h"
 #include "obs/trace.h"
 #include "obs/trace_diff.h"
 
@@ -291,6 +294,34 @@ TEST(TraceDiff, StreamsDiffLikeEventVectors)
     auto d = diffJsonlStreams(sa2, sc);
     ASSERT_TRUE(d.has_value());
     EXPECT_EQ(d->field, "u");
+}
+
+TEST(StateReader, VectorsRoundTrip)
+{
+    StateWriter w;
+    w.f64vec("f", {0.5, -2.0});
+    w.i64vec("i", {-3, 7, 11});
+    w.u64vec("u", {});
+    StateReader r(w.dump());
+    EXPECT_EQ(r.f64vec("f"), (std::vector<double>{0.5, -2.0}));
+    EXPECT_EQ(r.i64vec("i"), (std::vector<long long>{-3, 7, 11}));
+    EXPECT_TRUE(r.u64vec("u").empty());
+    EXPECT_TRUE(r.atEnd());
+}
+
+TEST(StateReader, HostileVectorCountsThrowRuntimeError)
+{
+    // Counts that used to reach reserve(): 2^62 threw std::length_error
+    // and 2^40 std::bad_alloc. Neither is the documented error type.
+    for (const char* n : {"4611686018427387904", "1099511627776", "2"}) {
+        const std::string body = std::string("v.n=") + n + "\nv.0=1\n";
+        StateReader f(body);
+        EXPECT_THROW(f.f64vec("v"), std::runtime_error) << n;
+        StateReader i(body);
+        EXPECT_THROW(i.i64vec("v"), std::runtime_error) << n;
+        StateReader u(body);
+        EXPECT_THROW(u.u64vec("v"), std::runtime_error) << n;
+    }
 }
 
 }  // namespace
