@@ -52,6 +52,16 @@ hex64(std::uint64_t v)
     return buf;
 }
 
+/** Writes a checkpoint body to @p path atomically. */
+void
+writeCheckpoint(const std::string& path, const std::string& body)
+{
+    if (!core::atomicWriteFile(path, body)) {
+        throw std::runtime_error("FleetSim: cannot write checkpoint " +
+                                 path);
+    }
+}
+
 }  // namespace
 
 core::AdaptOptions
@@ -797,9 +807,11 @@ FleetSim::run(std::size_t workers, const CheckpointConfig& ckpt)
         epoch_ = epoch + 1;
         if (ckpt.every_epochs > 0 && epoch_ < epochs &&
             epoch_ % ckpt.every_epochs == 0) {
-            saveCheckpoint(ckpt.dir + "/fleet-" +
-                           std::to_string(epoch_) + ".ckpt");
-            saveCheckpoint(ckpt.dir + "/fleet-latest.ckpt");
+            const std::string body = checkpointBody();
+            writeCheckpoint(ckpt.dir + "/fleet-" +
+                                std::to_string(epoch_) + ".ckpt",
+                            body);
+            writeCheckpoint(ckpt.dir + "/fleet-latest.ckpt", body);
         }
     }
     epoch_ = epochs;
@@ -847,6 +859,12 @@ FleetSim::run(std::size_t workers, const CheckpointConfig& ckpt)
 
 void
 FleetSim::saveCheckpoint(const std::string& path) const
+{
+    writeCheckpoint(path, checkpointBody());
+}
+
+std::string
+FleetSim::checkpointBody() const
 {
     obs::StateWriter w;
     w.u64("ckpt.version", kCheckpointVersion);
@@ -901,10 +919,7 @@ FleetSim::saveCheckpoint(const std::string& path) const
     }
     std::string body = w.dump();
     body += "ckpt.digest=" + hex64(obs::fnv1a(body)) + "\n";
-    if (!core::atomicWriteFile(path, body)) {
-        throw std::runtime_error("FleetSim: cannot write checkpoint " +
-                                 path);
-    }
+    return body;
 }
 
 void
@@ -917,20 +932,22 @@ FleetSim::restoreCheckpoint(const std::string& path)
     }
     std::ostringstream ss;
     ss << in.rdbuf();
-    const std::string text = ss.str();
+    // Moved out, then cut to the body and moved into the reader: the
+    // file's bytes are held once.
+    std::string body = std::move(ss).str();
 
     const std::string tag = "ckpt.digest=";
-    const std::size_t p = text.rfind(tag);
+    const std::size_t p = body.rfind(tag);
     if (p == std::string::npos) {
         throw std::runtime_error(
             "FleetSim: checkpoint has no digest stamp: " + path);
     }
-    const std::string body = text.substr(0, p);
-    std::string stamp = text.substr(p + tag.size());
+    std::string stamp = body.substr(p + tag.size());
     while (!stamp.empty() &&
            (stamp.back() == '\n' || stamp.back() == '\r')) {
         stamp.pop_back();
     }
+    body.resize(p);
     if (stamp != hex64(obs::fnv1a(body))) {
         throw std::runtime_error(
             "FleetSim: checkpoint digest mismatch (corrupt or "
@@ -938,7 +955,7 @@ FleetSim::restoreCheckpoint(const std::string& path)
             path);
     }
 
-    obs::StateReader r(body);
+    obs::StateReader r(std::move(body));
     const std::uint64_t version = r.u64("ckpt.version");
     if (version != kCheckpointVersion) {
         throw std::runtime_error(

@@ -370,6 +370,13 @@ class FleetSim
     /** @return the counter-hashed base seed for board @p b. */
     std::uint32_t boardSeed(int b) const;
 
+    /**
+     * @return the full checkpoint file contents: every subsystem's
+     * StateWriter snapshot, then the FNV-1a digest stamp line. The
+     * one serialization recipe behind saveCheckpoint() and run().
+     */
+    std::string checkpointBody() const;
+
     /** Applies crash entries and cold reboots due at @p t0. */
     void applyCrashTransitions(int epoch, double t0);
 

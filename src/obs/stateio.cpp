@@ -1,21 +1,81 @@
 #include "obs/stateio.h"
 
 #include <bit>
-#include <cstdio>
+#include <charconv>
 #include <stdexcept>
+#include <system_error>
 
 namespace yukta::obs {
 
 namespace {
 
-/** @return the 16-hex-digit bit pattern of @p v. */
-std::string hexBits(double v)
+constexpr char kHexDigits[] = "0123456789abcdef";
+
+[[noreturn]] void failField(std::string_view key, const std::string& why)
 {
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(
-                      std::bit_cast<std::uint64_t>(v)));
-    return std::string(buf);
+    throw std::runtime_error("StateReader: reading '" + std::string(key) +
+                             "': " + why);
+}
+
+/** Appends @p v in decimal. */
+template <typename Int>
+void putDecimal(std::string& out, Int v)
+{
+    char buf[24];
+    const auto res = std::to_chars(buf, buf + sizeof buf, v);
+    out.append(buf, res.ptr);
+}
+
+/** Appends the 16 lower-case hex digits of @p bits. */
+void putHex16(std::string& out, std::uint64_t bits)
+{
+    char buf[16];
+    for (int i = 15; i >= 0; --i) {
+        buf[i] = kHexDigits[bits & 0xF];
+        bits >>= 4;
+    }
+    out.append(buf, sizeof buf);
+}
+
+/** Appends @p raw with %, =, CR, and LF percent-encoded. */
+void putPercentEncoded(std::string& out, std::string_view raw)
+{
+    for (char c : raw) {
+        if (c == '%' || c == '=' || c == '\n' || c == '\r') {
+            const auto byte = static_cast<unsigned char>(c);
+            out += '%';
+            out += kHexDigits[byte >> 4];
+            out += kHexDigits[byte & 0xF];
+        } else {
+            out += c;
+        }
+    }
+}
+
+/** Appends `key=`. */
+void putKey(std::string& out, std::string_view key)
+{
+    out.append(key);
+    out += '=';
+}
+
+/** Appends `key.n=n`, then per element `key.i=` and @p put's value. */
+template <typename T, typename Put>
+void putVector(std::string& out, std::string_view key,
+               const std::vector<T>& v, Put put)
+{
+    out.append(key);
+    out.append(".n=");
+    putDecimal(out, v.size());
+    out += '\n';
+    for (std::size_t i = 0; i < v.size(); ++i) {
+        out.append(key);
+        out += '.';
+        putDecimal(out, i);
+        out += '=';
+        put(out, v[i]);
+        out += '\n';
+    }
 }
 
 int hexNibble(char c)
@@ -32,26 +92,8 @@ int hexNibble(char c)
     return -1;
 }
 
-}  // namespace
-
-std::string percentEncode(const std::string& raw)
-{
-    std::string out;
-    out.reserve(raw.size());
-    for (char c : raw) {
-        if (c == '%' || c == '=' || c == '\n' || c == '\r') {
-            char buf[4];
-            std::snprintf(buf, sizeof(buf), "%%%02x",
-                          static_cast<unsigned char>(c));
-            out += buf;
-        } else {
-            out += c;
-        }
-    }
-    return out;
-}
-
-std::string percentDecode(const std::string& enc)
+/** @return the percent-decoded form of @p enc. */
+std::string percentDecode(std::string_view enc)
 {
     std::string out;
     out.reserve(enc.size());
@@ -76,209 +118,223 @@ std::string percentDecode(const std::string& enc)
     return out;
 }
 
-void StateWriter::u64(const std::string& key, std::uint64_t v)
+/**
+ * Parses the whole of @p v as a decimal integer: no sign but an
+ * optional leading '-' for signed types, no trailing characters, and
+ * nothing out of @p Int's range.
+ */
+template <typename Int>
+Int parseInteger(std::string_view key, std::string_view v)
 {
-    os_ << key << '=' << v << '\n';
-}
-
-void StateWriter::i64(const std::string& key, long long v)
-{
-    os_ << key << '=' << v << '\n';
-}
-
-void StateWriter::boolean(const std::string& key, bool v)
-{
-    os_ << key << '=' << (v ? 1 : 0) << '\n';
-}
-
-void StateWriter::f64(const std::string& key, double v)
-{
-    os_ << key << '=' << hexBits(v) << '\n';
-}
-
-void StateWriter::str(const std::string& key, const std::string& v)
-{
-    os_ << key << '=' << percentEncode(v) << '\n';
-}
-
-void StateWriter::f64vec(const std::string& key,
-                         const std::vector<double>& v)
-{
-    u64(key + ".n", v.size());
-    for (std::size_t i = 0; i < v.size(); ++i) {
-        f64(key + "." + std::to_string(i), v[i]);
-    }
-}
-
-void StateWriter::i64vec(const std::string& key,
-                         const std::vector<long long>& v)
-{
-    u64(key + ".n", v.size());
-    for (std::size_t i = 0; i < v.size(); ++i) {
-        i64(key + "." + std::to_string(i), v[i]);
-    }
-}
-
-void StateWriter::u64vec(const std::string& key,
-                         const std::vector<std::uint64_t>& v)
-{
-    u64(key + ".n", v.size());
-    for (std::size_t i = 0; i < v.size(); ++i) {
-        u64(key + "." + std::to_string(i), v[i]);
-    }
-}
-
-StateReader::StateReader(const std::string& body)
-{
-    std::size_t pos = 0;
-    while (pos < body.size()) {
-        std::size_t eol = body.find('\n', pos);
-        if (eol == std::string::npos) {
-            eol = body.size();
-        }
-        const std::string line = body.substr(pos, eol - pos);
-        pos = eol + 1;
-        if (line.empty()) {
-            continue;
-        }
-        const std::size_t eq = line.find('=');
-        if (eq == std::string::npos) {
-            throw std::runtime_error(
-                "StateReader: line without '=': '" + line + "'");
-        }
-        fields_.emplace_back(line.substr(0, eq), line.substr(eq + 1));
-    }
-}
-
-const std::string& StateReader::take(const std::string& key)
-{
-    if (next_ >= fields_.size()) {
-        failKey(key, "past end of snapshot");
-    }
-    const auto& field = fields_[next_];
-    if (field.first != key) {
-        failKey(key, "found '" + field.first + "' instead");
-    }
-    ++next_;
-    return fields_[next_ - 1].second;
-}
-
-void StateReader::failKey(const std::string& key,
-                          const std::string& why) const
-{
-    throw std::runtime_error("StateReader: reading '" + key + "': " +
-                            why);
-}
-
-std::uint64_t StateReader::u64(const std::string& key)
-{
-    const std::string& v = take(key);
     if (v.empty()) {
-        failKey(key, "empty value");
+        failField(key, "empty value");
     }
-    std::uint64_t out = 0;
-    for (char c : v) {
-        if (c < '0' || c > '9') {
-            failKey(key, "non-digit in '" + v + "'");
-        }
-        out = out * 10 + static_cast<std::uint64_t>(c - '0');
+    Int out = 0;
+    const char* end = v.data() + v.size();
+    const auto [ptr, ec] = std::from_chars(v.data(), end, out);
+    if (ec == std::errc::result_out_of_range) {
+        failField(key, "out of range: '" + std::string(v) + "'");
+    }
+    if (ec != std::errc() || ptr != end) {
+        failField(key, "non-digit in '" + std::string(v) + "'");
     }
     return out;
 }
 
-long long StateReader::i64(const std::string& key)
+double parseF64(std::string_view key, std::string_view v)
 {
-    const std::string& v = take(key);
-    if (v.empty()) {
-        failKey(key, "empty value");
-    }
-    const bool neg = v[0] == '-';
-    long long out = 0;
-    for (std::size_t i = neg ? 1 : 0; i < v.size(); ++i) {
-        if (v[i] < '0' || v[i] > '9') {
-            failKey(key, "non-digit in '" + v + "'");
-        }
-        out = out * 10 + (v[i] - '0');
-    }
-    return neg ? -out : out;
-}
-
-bool StateReader::boolean(const std::string& key)
-{
-    const std::string& v = take(key);
-    if (v == "1") {
-        return true;
-    }
-    if (v == "0") {
-        return false;
-    }
-    failKey(key, "expected 0 or 1, got '" + v + "'");
-}
-
-double StateReader::f64(const std::string& key)
-{
-    const std::string& v = take(key);
     if (v.size() != 16) {
-        failKey(key, "expected 16 hex digits, got '" + v + "'");
+        failField(key, "expected 16 hex digits, got '" + std::string(v) +
+                           "'");
     }
     std::uint64_t bits = 0;
     for (char c : v) {
         const int nib = hexNibble(c);
         if (nib < 0) {
-            failKey(key, "non-hex digit in '" + v + "'");
+            failField(key, "non-hex digit in '" + std::string(v) + "'");
         }
         bits = (bits << 4) | static_cast<std::uint64_t>(nib);
     }
     return std::bit_cast<double>(bits);
 }
 
-std::string StateReader::str(const std::string& key)
+}  // namespace
+
+void StateWriter::u64(std::string_view key, std::uint64_t v)
+{
+    putKey(buf_, key);
+    putDecimal(buf_, v);
+    buf_ += '\n';
+}
+
+void StateWriter::i64(std::string_view key, long long v)
+{
+    putKey(buf_, key);
+    putDecimal(buf_, v);
+    buf_ += '\n';
+}
+
+void StateWriter::boolean(std::string_view key, bool v)
+{
+    putKey(buf_, key);
+    buf_ += v ? '1' : '0';
+    buf_ += '\n';
+}
+
+void StateWriter::f64(std::string_view key, double v)
+{
+    putKey(buf_, key);
+    putHex16(buf_, std::bit_cast<std::uint64_t>(v));
+    buf_ += '\n';
+}
+
+void StateWriter::str(std::string_view key, std::string_view v)
+{
+    putKey(buf_, key);
+    putPercentEncoded(buf_, v);
+    buf_ += '\n';
+}
+
+void StateWriter::f64vec(std::string_view key,
+                         const std::vector<double>& v)
+{
+    putVector(buf_, key, v, [](std::string& out, double x) {
+        putHex16(out, std::bit_cast<std::uint64_t>(x));
+    });
+}
+
+void StateWriter::i64vec(std::string_view key,
+                         const std::vector<long long>& v)
+{
+    putVector(buf_, key, v,
+              [](std::string& out, long long x) { putDecimal(out, x); });
+}
+
+void StateWriter::u64vec(std::string_view key,
+                         const std::vector<std::uint64_t>& v)
+{
+    putVector(buf_, key, v,
+              [](std::string& out, std::uint64_t x) { putDecimal(out, x); });
+}
+
+StateReader::StateReader(std::string body) : body_(std::move(body))
+{
+    const std::string_view text = body_;
+    std::size_t pos = 0;
+    while (pos < text.size()) {
+        std::size_t eol = text.find('\n', pos);
+        if (eol == std::string_view::npos) {
+            eol = text.size();
+        }
+        const std::string_view line = text.substr(pos, eol - pos);
+        pos = eol + 1;
+        if (line.empty()) {
+            continue;
+        }
+        const std::size_t eq = line.find('=');
+        if (eq == std::string_view::npos) {
+            throw std::runtime_error("StateReader: line without '=': '" +
+                                     std::string(line) + "'");
+        }
+        fields_.push_back({line.substr(0, eq), line.substr(eq + 1)});
+    }
+}
+
+std::string_view StateReader::take(std::string_view key)
+{
+    if (next_ >= fields_.size()) {
+        failKey(key, "past end of snapshot");
+    }
+    const Field& field = fields_[next_];
+    if (field.key != key) {
+        failKey(key, "found '" + std::string(field.key) + "' instead");
+    }
+    ++next_;
+    return field.value;
+}
+
+void StateReader::failKey(std::string_view key, const std::string& why) const
+{
+    failField(key, why);
+}
+
+std::uint64_t StateReader::u64(std::string_view key)
+{
+    return parseInteger<std::uint64_t>(key, take(key));
+}
+
+long long StateReader::i64(std::string_view key)
+{
+    return parseInteger<long long>(key, take(key));
+}
+
+bool StateReader::boolean(std::string_view key)
+{
+    const std::string_view v = take(key);
+    if (v == "1") {
+        return true;
+    }
+    if (v == "0") {
+        return false;
+    }
+    failKey(key, "expected 0 or 1, got '" + std::string(v) + "'");
+}
+
+double StateReader::f64(std::string_view key)
+{
+    return parseF64(key, take(key));
+}
+
+std::string StateReader::str(std::string_view key)
 {
     return percentDecode(take(key));
 }
 
-std::uint64_t StateReader::count(const std::string& key)
+std::uint64_t StateReader::count(std::string_view key)
 {
-    const std::uint64_t n = u64(key + ".n");
+    const std::string count_key = std::string(key) + ".n";
+    const std::uint64_t n = u64(count_key);
     if (n > fields_.size() - next_) {
-        failKey(key + ".n", "count " + std::to_string(n) + " exceeds the " +
-                                std::to_string(fields_.size() - next_) +
-                                " fields left");
+        failKey(count_key, "count " + std::to_string(n) + " exceeds the " +
+                               std::to_string(fields_.size() - next_) +
+                               " fields left");
     }
     return n;
 }
 
-std::vector<double> StateReader::f64vec(const std::string& key)
+template <typename T>
+std::vector<T> StateReader::vec(std::string_view key,
+                                T (*parse)(std::string_view key,
+                                           std::string_view value))
 {
     const std::uint64_t n = count(key);
-    std::vector<double> out;
+    std::vector<T> out;
     out.reserve(n);
+    // One key buffer, its `key.` stem kept and the index rewritten.
+    std::string element(key);
+    element += '.';
+    const std::size_t stem = element.size();
     for (std::uint64_t i = 0; i < n; ++i) {
-        out.push_back(f64(key + "." + std::to_string(i)));
+        element.resize(stem);
+        putDecimal(element, i);
+        out.push_back(parse(element, take(element)));
     }
     return out;
 }
 
-std::vector<long long> StateReader::i64vec(const std::string& key)
+std::vector<double> StateReader::f64vec(std::string_view key)
 {
-    const std::uint64_t n = count(key);
-    std::vector<long long> out;
-    out.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-        out.push_back(i64(key + "." + std::to_string(i)));
-    }
-    return out;
+    return vec<double>(key, parseF64);
 }
 
-std::vector<std::uint64_t> StateReader::u64vec(const std::string& key)
+std::vector<long long> StateReader::i64vec(std::string_view key)
 {
-    const std::uint64_t n = count(key);
-    std::vector<std::uint64_t> out;
-    out.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-        out.push_back(u64(key + "." + std::to_string(i)));
-    }
-    return out;
+    return vec<long long>(key, parseInteger<long long>);
+}
+
+std::vector<std::uint64_t> StateReader::u64vec(std::string_view key)
+{
+    return vec<std::uint64_t>(key, parseInteger<std::uint64_t>);
 }
 
 }  // namespace yukta::obs

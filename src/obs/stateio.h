@@ -27,56 +27,60 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 namespace yukta::obs {
 
-/** Appends typed key=value fields to a snapshot body. */
+/** Appends typed key=value fields to one flat snapshot buffer. */
 class StateWriter
 {
   public:
     /** Writes an unsigned integer field. */
-    void u64(const std::string& key, std::uint64_t v);
+    void u64(std::string_view key, std::uint64_t v);
 
     /** Writes a signed integer field. */
-    void i64(const std::string& key, long long v);
+    void i64(std::string_view key, long long v);
 
     /** Writes a boolean field (encoded 0/1). */
-    void boolean(const std::string& key, bool v);
+    void boolean(std::string_view key, bool v);
 
     /** Writes a double as its exact IEEE-754 bit pattern. */
-    void f64(const std::string& key, double v);
+    void f64(std::string_view key, double v);
 
     /** Writes a percent-encoded string field. */
-    void str(const std::string& key, const std::string& v);
+    void str(std::string_view key, std::string_view v);
 
     /** Writes @p key.n then one f64 field per element. */
-    void f64vec(const std::string& key, const std::vector<double>& v);
+    void f64vec(std::string_view key, const std::vector<double>& v);
 
     /** Writes @p key.n then one i64 field per element. */
-    void i64vec(const std::string& key, const std::vector<long long>& v);
+    void i64vec(std::string_view key, const std::vector<long long>& v);
 
     /** Writes @p key.n then one u64 field per element. */
-    void u64vec(const std::string& key,
-                const std::vector<std::uint64_t>& v);
+    void u64vec(std::string_view key, const std::vector<std::uint64_t>& v);
 
     /**
      * Serializes a <random> engine or distribution through its stream
      * operator (libstdc++ round-trips both exactly).
      */
     template <typename T>
-    void rng(const std::string& key, const T& engine)
+    void rng(std::string_view key, const T& engine)
     {
         std::ostringstream os;
         os << engine;
         str(key, os.str());
     }
 
-    /** @return the accumulated snapshot body. */
-    std::string dump() const { return os_.str(); }
+    /**
+     * @return the accumulated snapshot body, moved out: the writer is
+     * left empty, so a multi-megabyte snapshot is never held twice.
+     */
+    std::string dump() { return std::exchange(buf_, {}); }
 
   private:
-    std::ostringstream os_;
+    std::string buf_;
 };
 
 /**
@@ -88,36 +92,44 @@ class StateWriter
 class StateReader
 {
   public:
-    /** Parses @p body (a StateWriter dump) into ordered fields. */
-    explicit StateReader(const std::string& body);
+    /**
+     * Takes @p body (a StateWriter dump) and indexes its lines as
+     * ordered fields viewing into it.
+     */
+    explicit StateReader(std::string body);
+
+    // The fields view into body_; a copy or move would leave them
+    // pointing at the source (a short body lives in the SSO buffer).
+    StateReader(const StateReader&) = delete;
+    StateReader& operator=(const StateReader&) = delete;
 
     /** Reads the next field as an unsigned integer. */
-    std::uint64_t u64(const std::string& key);
+    std::uint64_t u64(std::string_view key);
 
     /** Reads the next field as a signed integer. */
-    long long i64(const std::string& key);
+    long long i64(std::string_view key);
 
     /** Reads the next field as a boolean. */
-    bool boolean(const std::string& key);
+    bool boolean(std::string_view key);
 
     /** Reads the next field as an exact double bit pattern. */
-    double f64(const std::string& key);
+    double f64(std::string_view key);
 
     /** Reads the next field as a percent-decoded string. */
-    std::string str(const std::string& key);
+    std::string str(std::string_view key);
 
     /** Reads a f64vec written by StateWriter::f64vec. */
-    std::vector<double> f64vec(const std::string& key);
+    std::vector<double> f64vec(std::string_view key);
 
     /** Reads an i64vec written by StateWriter::i64vec. */
-    std::vector<long long> i64vec(const std::string& key);
+    std::vector<long long> i64vec(std::string_view key);
 
     /** Reads a u64vec written by StateWriter::u64vec. */
-    std::vector<std::uint64_t> u64vec(const std::string& key);
+    std::vector<std::uint64_t> u64vec(std::string_view key);
 
     /** Restores a <random> engine or distribution from its field. */
     template <typename T>
-    void rng(const std::string& key, T& engine)
+    void rng(std::string_view key, T& engine)
     {
         std::istringstream is(str(key));
         is >> engine;
@@ -133,26 +145,31 @@ class StateReader
     std::size_t consumed() const { return next_; }
 
   private:
-    std::vector<std::pair<std::string, std::string>> fields_;
+    struct Field
+    {
+        std::string_view key;
+        std::string_view value;
+    };
+
+    std::string body_;
+    std::vector<Field> fields_;
     std::size_t next_ = 0;
 
-    const std::string& take(const std::string& key);
+    /** Consumes the next field; its key must be @p key. @return its value. */
+    std::string_view take(std::string_view key);
 
     /** Reads a vector's `.n` field, bounded by the fields left. */
-    std::uint64_t count(const std::string& key);
+    std::uint64_t count(std::string_view key);
 
-    [[noreturn]] void failKey(const std::string& key,
+    /** Reads a vector's count, then each element through @p parse. */
+    template <typename T>
+    std::vector<T> vec(std::string_view key,
+                       T (*parse)(std::string_view key,
+                                  std::string_view value));
+
+    [[noreturn]] void failKey(std::string_view key,
                               const std::string& why) const;
 };
-
-/** @return @p raw with %, =, CR, and LF percent-encoded. */
-std::string percentEncode(const std::string& raw);
-
-/**
- * @return the percent-decoded form of @p enc.
- * @throws std::runtime_error on a malformed escape.
- */
-std::string percentDecode(const std::string& enc);
 
 }  // namespace yukta::obs
 

@@ -335,8 +335,6 @@ hinfSynthesize(const StateSpace& p, const PlantPartition& part,
     HinfResult out;
     out.k = discrete ? control::c2d(*best, p.ts) : *best;
     out.gamma = best_gamma;
-    StateSpace cl = control::lftLower(p, out.k, part.nz, part.nw);
-    out.achieved = cl.isStable() ? hinfNorm(cl) : 1e300;
     return out;
 }
 

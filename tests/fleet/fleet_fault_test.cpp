@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "fault/plan.h"
 #include "fleet/artifacts.h"
 #include "fleet/fleet.h"
+#include "obs/rollup.h"
 
 namespace {
 
@@ -55,7 +57,16 @@ checkpointDir(const std::string& tag)
     return dir;
 }
 
-// The tentpole property: run-to-T and run-to-T/k + restore +
+/** @return the whole of file @p path. */
+std::string
+fileBytes(const std::string& path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+}
+
+// The property behind checkpoint/resume: run-to-T and run-to-T/k + restore +
 // run-to-T yield bit-identical digests, across seeds, worker counts
 // (the baseline and resumed legs deliberately use different counts),
 // fault schedules, and the checkpoint split epoch.
@@ -282,9 +293,7 @@ TEST(FleetFaults, CheckpointTamperAndMismatchRejected)
 
     // Flipped payload byte: the digest stamp must catch it.
     {
-        std::ifstream in(path, std::ios::binary);
-        std::string text((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
+        std::string text = fileBytes(path);
         const std::size_t mid = text.size() / 2;
         text[mid] = text[mid] == 'x' ? 'y' : 'x';
         std::ofstream out(path + ".bad", std::ios::binary);
@@ -311,6 +320,46 @@ TEST(FleetFaults, CheckpointTamperAndMismatchRejected)
         EXPECT_THROW(sim.restoreCheckpoint(dir + "/absent.ckpt"),
                      std::runtime_error);
     }
+    std::filesystem::remove_all(dir);
+}
+
+// The checkpoint bytes are pinned. run() serializes one body per
+// checkpoint and writes it to both files; saveCheckpoint() shares the
+// recipe (called after a restore here, so the reader round-trips the
+// full state too); and the bytes hash to what the stream-based writer
+// produced before the flat-buffer rewrite.
+TEST(FleetFaults, CheckpointFilesShareOnePinnedBody)
+{
+    const auto artifacts = yukta::fleet::fleetArtifacts();
+    FleetConfig cfg =
+        smallConfig(13, "board1:crash@1+1;board3:degrade@0.5+2*0.4");
+    cfg.boards = 4;
+    cfg.supervised = true;
+    cfg.adapt = true;
+    const std::string dir = checkpointDir("pin");
+    {
+        FleetSim sim(cfg, artifacts);
+        CheckpointConfig ckpt;
+        ckpt.every_epochs = 4;
+        ckpt.dir = dir;
+        (void)sim.run(1, ckpt);
+    }
+    {
+        FleetSim sim(cfg, artifacts);
+        sim.restoreCheckpoint(dir + "/fleet-4.ckpt");
+        sim.saveCheckpoint(dir + "/saved.ckpt");
+    }
+    const std::string numbered = fileBytes(dir + "/fleet-4.ckpt");
+    const std::string latest = fileBytes(dir + "/fleet-latest.ckpt");
+    const std::string saved = fileBytes(dir + "/saved.ckpt");
+    ASSERT_FALSE(numbered.empty());
+    // EXPECT_TRUE, not EXPECT_EQ: a failure should not print megabytes.
+    EXPECT_TRUE(latest == numbered) << latest.size() << " vs "
+                                    << numbered.size() << " bytes";
+    EXPECT_TRUE(saved == numbered) << saved.size() << " vs "
+                                   << numbered.size() << " bytes";
+    EXPECT_EQ(yukta::obs::fnv1a(numbered), 0x465367bdb819f409ULL)
+        << numbered.size() << " bytes";
     std::filesystem::remove_all(dir);
 }
 

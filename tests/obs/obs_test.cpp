@@ -2,8 +2,10 @@
 // serialization round trips, sink ordering/thread safety, the JSONL
 // and Chrome writers, the metrics registry, and the first-divergence
 // trace comparator the golden suite is built on, and the checkpoint
-// reader's bounds on hostile vector counts.
+// writer's exact bytes and reader's bounds on hostile input.
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <sstream>
@@ -321,6 +323,138 @@ TEST(StateReader, HostileVectorCountsThrowRuntimeError)
         EXPECT_THROW(i.i64vec("v"), std::runtime_error) << n;
         StateReader u(body);
         EXPECT_THROW(u.u64vec("v"), std::runtime_error) << n;
+    }
+}
+
+TEST(StateWriter, DumpIsPinnedForEdgeValues)
+{
+    // The checkpoint format is these bytes: a change here breaks every
+    // checkpoint on disk, so it needs a kCheckpointVersion bump.
+    StateWriter w;
+    w.f64("neg_zero", -0.0);
+    w.f64("qnan", std::bit_cast<double>(std::uint64_t{0x7ff80000deadbeefULL}));
+    w.f64("pinf", std::numeric_limits<double>::infinity());
+    w.f64("ninf", -std::numeric_limits<double>::infinity());
+    w.f64("subnormal", std::numeric_limits<double>::denorm_min());
+    w.u64("umax", std::numeric_limits<std::uint64_t>::max());
+    w.i64("imin", std::numeric_limits<long long>::min());
+    w.boolean("yes", true);
+    w.boolean("no", false);
+    w.f64vec("fv", {});
+    w.i64vec("iv", {});
+    w.u64vec("uv", {});
+    w.f64vec("f", {1.0, -2.5});
+    w.i64vec("i", {-1, 0, 12});
+    w.u64vec("u", {7});
+    w.str("s", "a=b%c\nd\re f");
+    w.str("empty", "");
+    const std::string body = w.dump();
+    EXPECT_EQ(body,
+              "neg_zero=8000000000000000\n"
+              "qnan=7ff80000deadbeef\n"
+              "pinf=7ff0000000000000\n"
+              "ninf=fff0000000000000\n"
+              "subnormal=0000000000000001\n"
+              "umax=18446744073709551615\n"
+              "imin=-9223372036854775808\n"
+              "yes=1\n"
+              "no=0\n"
+              "fv.n=0\n"
+              "iv.n=0\n"
+              "uv.n=0\n"
+              "f.n=2\n"
+              "f.0=3ff0000000000000\n"
+              "f.1=c004000000000000\n"
+              "i.n=3\n"
+              "i.0=-1\n"
+              "i.1=0\n"
+              "i.2=12\n"
+              "u.n=1\n"
+              "u.0=7\n"
+              "s=a%3db%25c%0ad%0de f\n"
+              "empty=\n");
+    // dump() hands the buffer over.
+    EXPECT_TRUE(w.dump().empty());
+
+    StateReader r(body);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.f64("neg_zero")),
+              0x8000000000000000ULL);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.f64("qnan")),
+              0x7ff80000deadbeefULL);
+    EXPECT_EQ(r.f64("pinf"), std::numeric_limits<double>::infinity());
+    EXPECT_EQ(r.f64("ninf"), -std::numeric_limits<double>::infinity());
+    EXPECT_EQ(r.f64("subnormal"),
+              std::numeric_limits<double>::denorm_min());
+    EXPECT_EQ(r.u64("umax"), std::numeric_limits<std::uint64_t>::max());
+    EXPECT_EQ(r.i64("imin"), std::numeric_limits<long long>::min());
+    EXPECT_TRUE(r.boolean("yes"));
+    EXPECT_FALSE(r.boolean("no"));
+    EXPECT_TRUE(r.f64vec("fv").empty());
+    EXPECT_TRUE(r.i64vec("iv").empty());
+    EXPECT_TRUE(r.u64vec("uv").empty());
+    EXPECT_EQ(r.f64vec("f"), (std::vector<double>{1.0, -2.5}));
+    EXPECT_EQ(r.i64vec("i"), (std::vector<long long>{-1, 0, 12}));
+    EXPECT_EQ(r.u64vec("u"), (std::vector<std::uint64_t>{7}));
+    EXPECT_EQ(r.str("s"), "a=b%c\nd\re f");
+    EXPECT_EQ(r.str("empty"), "");
+    EXPECT_TRUE(r.atEnd());
+}
+
+TEST(StateReader, IntegersOutOfRangeOrMalformedThrowRuntimeError)
+{
+    const auto i64 = [](const std::string& v) {
+        StateReader r("k=" + v + "\n");
+        return r.i64("k");
+    };
+    const auto u64 = [](const std::string& v) {
+        StateReader r("k=" + v + "\n");
+        return r.u64("k");
+    };
+    // The extremes still parse.
+    EXPECT_EQ(i64("-9223372036854775808"),
+              std::numeric_limits<long long>::min());
+    EXPECT_EQ(i64("9223372036854775807"),
+              std::numeric_limits<long long>::max());
+    EXPECT_EQ(u64("18446744073709551615"),
+              std::numeric_limits<std::uint64_t>::max());
+    EXPECT_EQ(i64("-0"), 0);
+    // One past either end, and a 20-digit overflow, used to wrap.
+    for (const char* v : {"99999999999999999999", "9223372036854775808",
+                          "-9223372036854775809", "-", "", "12x", "+1",
+                          " 1", "1-"}) {
+        EXPECT_THROW(i64(v), std::runtime_error) << v;
+    }
+    for (const char* v : {"18446744073709551616", "99999999999999999999",
+                          "-1", "-", "", "0x1", "+1"}) {
+        EXPECT_THROW(u64(v), std::runtime_error) << v;
+    }
+    try {
+        u64("18446744073709551616");
+        FAIL() << "overflow accepted";
+    } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "StateReader: reading 'k': out of range: "
+                               "'18446744073709551616'");
+    }
+    // Vector elements take the same path.
+    StateReader r("v.n=1\nv.0=18446744073709551616\n");
+    EXPECT_THROW(r.u64vec("v"), std::runtime_error);
+}
+
+TEST(StateReader, ElementKeysMustMatchExactly)
+{
+    for (const char* body : {"v.n=1\nv.00=1\n", "v.n=1\nv.1=1\n",
+                             "v.n=1\nw.0=1\n", "v.n=1\nv0=1\n",
+                             "v.n=1\nvx0=1\n", "v.n=1\nv.0.0=1\n"}) {
+        StateReader r(body);
+        EXPECT_THROW(r.i64vec("v"), std::runtime_error) << body;
+    }
+    StateReader r("v.n=1\nv.0=1\n");
+    try {
+        r.i64vec("x");
+        FAIL() << "mismatched key accepted";
+    } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(),
+                     "StateReader: reading 'x.n': found 'v.n' instead");
     }
 }
 
